@@ -209,6 +209,37 @@ func TestBenchRecordsExperiments(t *testing.T) {
 	}
 }
 
+// The pipeline-depth sweep drives dlrm pipelines rather than retrieval runs;
+// every one of them must still land in the experiment's bench record.
+func TestBenchRecordsPipelineDepthRuns(t *testing.T) {
+	b := NewBench()
+	opts := fastOpts(2)
+	opts.Bench = b
+	depths := []int{1, 2}
+	points, err := RunPipelineDepthContext(context.Background(), 2, depths, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := len(points) / len(depths)
+	if backends != 2 {
+		t.Fatalf("sweep returned %d points, want 2 backends x %d depths", len(points), len(depths))
+	}
+	rep := b.Report()
+	if len(rep.Experiments) != 1 {
+		t.Fatalf("recorded %d experiments, want 1", len(rep.Experiments))
+	}
+	e := rep.Experiments[0]
+	if e.Name != "pipeline-depth-2gpu" {
+		t.Fatalf("experiment record %+v", e)
+	}
+	if e.Runs != backends*len(depths) {
+		t.Fatalf("recorded %d runs, want %d (backends x depths)", e.Runs, backends*len(depths))
+	}
+	if e.RunSeconds <= 0 || e.Speedup <= 0 {
+		t.Fatalf("run timings not recorded: %+v", e)
+	}
+}
+
 func TestBenchNilSafe(t *testing.T) {
 	var b *Bench
 	stop := b.Start("x", 1)

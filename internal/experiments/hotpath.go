@@ -91,6 +91,10 @@ func hotPathCases() []hotPathCase {
 	pool[0], pool[1] = 64, 64 // two dominant tables: the mirror set
 	placedMirror.PerFeatureMaxPooling = pool
 	cluster := retrieval.ClusterHardware(2)
+	// A header tax far above the collective's overheads: intra-node pairs
+	// ride the all-to-all, cross-node pairs stay on one-sided stores.
+	taxed := retrieval.ClusterHardware(2)
+	taxed.Link.HeaderBytes = 1 << 20
 	return []hotPathCase{
 		{name: "retrieval/baseline-batch", cfg: base, hw: hw, backend: &retrieval.Baseline{}},
 		{name: "retrieval/baseline-batch-dedup", cfg: dedup, hw: hw, backend: &retrieval.Baseline{}},
@@ -98,8 +102,10 @@ func hotPathCases() []hotPathCase {
 		{name: "retrieval/pgas-fused-batch-dedup", cfg: dedup, hw: hw, backend: &retrieval.PGASFused{}},
 		{name: "retrieval/pgas-fused-batch-cached", cfg: cached, hw: hw, backend: &retrieval.PGASFused{}},
 		{name: "retrieval/pgas-fused-batch-replicas2", cfg: replicated, hw: hw, backend: &retrieval.PGASFused{}},
+		{name: "retrieval/baseline-batch-replicas2", cfg: replicated, hw: hw, backend: &retrieval.Baseline{}},
 		{name: "retrieval/pgas-fused-batch-pipelined2", cfg: pipelined, hw: hw, backend: &retrieval.PGASFused{}},
 		{name: "retrieval/hybrid-batch", cfg: base, hw: hw, backend: &retrieval.Hybrid{}},
+		{name: "retrieval/hybrid-batch-mixed", cfg: base, hw: taxed, backend: &retrieval.Hybrid{}},
 		// Reduced wire precision: the same batch with the transport codec's
 		// vector counting and encode/decode kernel charges on the loop.
 		{name: "retrieval/pgas-fused-batch-fp16", cfg: fp16, hw: hw, backend: &retrieval.PGASFused{}},

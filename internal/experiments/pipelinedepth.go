@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"pgasemb/internal/dlrm"
 	"pgasemb/internal/retrieval"
@@ -71,7 +72,9 @@ func RunPipelineDepthContext(ctx context.Context, gpus int, depths []int, opts O
 			return fmt.Errorf("experiments: pipeline-depth sweep, %s depth %d: %w",
 				backend.Name(), depths[di], err)
 		}
+		start := time.Now()
 		r, err := pl.RunContext(ctx)
+		opts.Bench.noteRun(time.Since(start))
 		if err != nil {
 			return fmt.Errorf("experiments: pipeline-depth sweep, %s depth %d: %w",
 				backend.Name(), depths[di], err)

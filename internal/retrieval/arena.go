@@ -16,13 +16,13 @@ package retrieval
 // gpuScratch is one GPU's reusable per-batch working memory.
 type gpuScratch struct {
 	vec         []float32   // Dim-sized pooling scratch
-	packBuf     []float32   // baseline send-segment packing (miss-only / unique rows)
-	recvBuf     []float32   // baseline all-to-all receive buffer
-	sendSegs    [][]float32 // baseline functional segment tables
+	packBuf     []float32   // all-to-all send buffer (pooled vectors / unique rows)
+	recvBuf     []float32   // all-to-all receive buffer
+	sendSegs    [][]float32 // functional all-to-all segment tables
 	recvSegs    [][]float32
-	sendBytes   []float64 // baseline timing segment sizes
+	sendBytes   []float64 // timing all-to-all segment sizes
 	recvBytes   []float64
-	perPeer     []int     // pgas per-peer skip tallies
+	stores      []int     // fused kernel's per-consumer store counts (one chunk)
 	cursors     []int     // pgas dedup wire-streaming cursors
 	nodeCursors []int     // pgas node-dedup wire-streaming cursors
 	partials    []float32 // row-wise partial-sum buffer

@@ -51,20 +51,15 @@ func (b *Baseline) CommTrace(s *System) *trace.VolumeTrace {
 	return s.Comm.Volume()
 }
 
+// RunBatch runs the baseline's three phases over the (shard, consumer) pairs
+// GPU g serves: its own shard for every consumer, plus any mirrored shard
+// the plan's replica routing assigned to it.
 func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {
-	if s.Cfg.Replicas > 1 {
-		b.runReplicated(s, p, g, bd, bk)
-		return
-	}
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	stream := dev.Stream("emb")
-	sc := s.scratchFor(g, bd)
-	fg := s.LocalTables(g)
-	lo, hi := s.Minibatch(g)
-	mini := hi - lo
 
-	// Hot-row cache discounts: vectors this owner skips (a hit at their
+	// Hot-row cache discounts: vectors this GPU skips (a hit at their
 	// consumer) and vectors this consumer pools from its own cache. Both are
 	// zero when the cache is disabled (plan.Cache == nil). All routing
 	// decisions come from the batch's compiled plan; the views only supply
@@ -72,28 +67,41 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	plan := bd.Plan
 	view := plan.Cache
 	dv := plan.Dedup
-	skipVecs, skipIdx := view.SkipFrom(g)
 	hitVecs, hitIdx := view.HitAt(g)
 	vb := float64(cfg.VectorBytes())
 
-	// --- Phase 1: lookup + pooling kernel over the full batch of local
-	// tables, writing every pooled vector into the rank-ordered send buffer —
-	// minus skipped hit vectors, plus the consumer-side cache gathers (which
-	// read the small hot working set at near-streaming efficiency).
-	totalIdx := s.localIndexTotal(bd.Summary, g, 0, cfg.BatchSize) - skipIdx
+	// --- Phase 1: lookup + pooling kernel over every served pair, writing
+	// each pooled vector into the consumer-major send buffer — minus skipped
+	// hit vectors, plus the consumer-side cache gathers (which read the small
+	// hot working set at near-streaming efficiency).
+	var totalIdx int64
+	for c := 0; c < cfg.GPUs; c++ {
+		clo, chi := s.Minibatch(c)
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, c) != g {
+				continue
+			}
+			totalIdx += s.localIndexTotal(bd.Summary, o, clo, chi)
+			if view != nil && o != c {
+				totalIdx -= view.WireIdx[o][c]
+			}
+		}
+	}
 	var kernel sim.Duration
 	if dv == nil {
+		items := plan.servedVecs(g) + hitVecs
 		readBytes := float64(totalIdx)*vb + // gathered table rows
 			dev.HotReadEquivalent(float64(hitIdx)*vb) // gathered cached rows
 		streamBytes := float64(totalIdx+hitIdx)*8 + // index reads
-			float64(cfg.BatchSize*fg-skipVecs+hitVecs)*vb // output stores
-		kernel = dev.GatherKernelCost(readBytes, streamBytes, cfg.BatchSize*fg-skipVecs+hitVecs)
+			float64(items)*vb // output stores
+		kernel = dev.GatherKernelCost(readBytes, streamBytes, items)
 	} else {
 		// Deduplicated: decompose the kernel per destination pair. Wire pairs
 		// gather and stage each unique row once (no pooling — the consumer
 		// expands); gather-dedup pairs stage unique rows and serve duplicate
 		// references from the hot working set; dense pairs keep the original
 		// cost shape. The conservative index-stream term is unchanged.
+		// (Dedup and replication are exclusive, so g serves its own shard.)
 		readBytes := dev.HotReadEquivalent(float64(hitIdx) * vb)
 		streamBytes := float64(totalIdx+hitIdx)*8 + float64(hitVecs)*vb
 		items := hitVecs
@@ -119,13 +127,6 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		kernel = dev.GatherKernelCost(readBytes, streamBytes, items)
 	}
 
-	var outputs *tensor.Tensor
-	if cfg.Functional {
-		// Collection.Forward produces (B, F_local, d) sample-major — with
-		// contiguous minibatches this IS the rank-ordered all-to-all send
-		// layout. (Mode is validated at run setup, so the shard exists.)
-		outputs = s.colls[g].Forward(bd.Parts[g])
-	}
 	_, kernelEnd := stream.Launch(p, kernel)
 	p.WaitUntil(kernelEnd)
 	bk.Accumulate(CompComputation, kernel+dev.Params().KernelLaunch)
@@ -137,14 +138,14 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 
 	if cfg.GPUs == 1 {
 		if cfg.Functional {
-			// Single GPU: outputs are already the final minibatch, just in
-			// (B, F_local, d) layout == (mini, TotalTables, d).
-			bd.Final[g].CopyFrom(outputs.Reshape(mini, cfg.TotalTables, cfg.Dim))
+			// Single GPU: the send buffer is the whole output; land it
+			// without a collective.
+			s.unpackCollective(g, bd, s.packCollective(g, bd, true)[g], true)
 		}
 		return
 	}
 
-	// Owner-side wire encode: compress every off-diagonal segment before the
+	// Owner-side wire encode: compress every remote segment before the
 	// collective ships it. A pure streaming kernel priced from the plan's
 	// counts, so timing and functional runs charge identically.
 	if cfg.WireCodecActive() {
@@ -160,95 +161,16 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		bk.Accumulate(CompComputation, p.Now()-encStart)
 	}
 
-	// --- Phase 2: all_to_all_single. Segment for dst = dst's minibatch
-	// rows of the local outputs. The collective is stream-ordered: under a
-	// pipelined schedule it cannot launch past dense kernels already queued
-	// on the compute stream (the exchange gate), which is why the baseline
-	// overlaps only its pre-collective phases with the previous batch's
-	// dense compute.
+	// --- Phase 2: all_to_all_single. The collective is stream-ordered:
+	// under a pipelined schedule it cannot launch past dense kernels already
+	// queued on the compute stream (the exchange gate), which is why the
+	// baseline overlaps only its pre-collective phases with the previous
+	// batch's dense compute.
 	commStart := p.Now()
-	s.awaitExchangeGate(p, g)
-	var recvBuf []float32
-	if cfg.Functional {
-		sendSegs := scratchSlice(&sc.sendSegs, cfg.GPUs)
-		recvSegs := scratchSlice(&sc.recvSegs, cfg.GPUs)
-		out := outputs.Data()
-		rowFloats := fg * cfg.Dim
-		// Receive-segment sizes: wire sources ship unique rows, dense sources
-		// ship miss vectors; pack-buffer demand covers every packed send.
-		recvFloats, packFloats := 0, 0
-		for peer := 0; peer < cfg.GPUs; peer++ {
-			recvFloats += plan.CollectiveVecs(peer, g) * cfg.Dim
-			if peer == g {
-				continue
-			}
-			if plan.CollectiveClass(g, peer) == RouteWire {
-				packFloats += int(dv.Uniq[g][peer]) * cfg.Dim
-			} else if view != nil {
-				packFloats += plan.CollectiveVecs(g, peer) * cfg.Dim
-			}
-		}
-		recvBuf = scratchSlice(&sc.recvBuf, recvFloats)
-		pack := scratchSlice(&sc.packBuf, packFloats)
-		packAt := 0
-		at := 0
-		for peer := 0; peer < cfg.GPUs; peer++ {
-			plo, phi := s.Minibatch(peer)
-			switch {
-			case plan.CollectiveClass(g, peer) == RouteWire:
-				// Wire dedup: gather each of the pair's unique rows once, in
-				// first-seen order; the consumer's expansion map addresses
-				// them by position.
-				seg := pack[packAt : packAt+int(dv.Uniq[g][peer])*cfg.Dim]
-				packAt += len(seg)
-				for i, key := range dv.Keys[g][peer] {
-					fi := int(key >> 32)
-					row := int(uint32(key))
-					w := s.colls[g].Tables[fi].Weights.Data()
-					copy(seg[i*cfg.Dim:(i+1)*cfg.Dim], w[row*cfg.Dim:(row+1)*cfg.Dim])
-				}
-				sendSegs[peer] = seg
-			case view == nil || peer == g:
-				sendSegs[peer] = out[plo*rowFloats : phi*rowFloats]
-			default:
-				// Pack miss-only vectors in the same sample-major order the
-				// contiguous slice would have carried.
-				seg := pack[packAt:packAt]
-				for smp := plo; smp < phi; smp++ {
-					for fi := 0; fi < fg; fi++ {
-						if view.Hit[g][fi*cfg.BatchSize+smp] {
-							continue
-						}
-						off := (smp*fg + fi) * cfg.Dim
-						seg = append(seg, out[off:off+cfg.Dim]...)
-					}
-				}
-				packAt += len(seg)
-				sendSegs[peer] = seg
-			}
-			vecs := plan.CollectiveVecs(peer, g)
-			recvSegs[peer] = recvBuf[at : at+vecs*cfg.Dim]
-			at += vecs * cfg.Dim
-		}
-		s.Comm.AllToAllSingle(p, g, sendSegs, recvSegs)
-	} else {
-		sendBytes := scratchSlice(&sc.sendBytes, cfg.GPUs)
-		recvBytes := scratchSlice(&sc.recvBytes, cfg.GPUs)
-		wvb := float64(cfg.WireVectorBytes())
-		for peer := 0; peer < cfg.GPUs; peer++ {
-			sendBytes[peer] = 0
-			recvBytes[peer] = 0
-			if peer == g {
-				continue
-			}
-			sendBytes[peer] = float64(plan.CollectiveVecs(g, peer)) * wvb
-			recvBytes[peer] = float64(plan.CollectiveVecs(peer, g)) * wvb
-		}
-		s.Comm.AllToAllSingleSizes(p, g, sendBytes, recvBytes)
-	}
+	recvBuf := s.exchangeCollective(p, g, bd, true)
 	bk.Accumulate(CompComm, p.Now()-commStart)
 
-	// --- Phase 3: unpack the received rank-major segments into the
+	// --- Phase 3: unpack the received source-major segments into the
 	// (mini, TotalTables, d) layout the interaction layer expects.
 	unpackStart := p.Now()
 	// Consumer-side wire decode: dequantize every received segment back to
@@ -265,32 +187,15 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		}
 	}
 	if !b.DirectPlacement {
-		if dv == nil {
-			remoteBytes := float64(mini*(cfg.TotalTables-fg)-hitVecs) * vb
-			unpack := dev.UnpackKernelCost(remoteBytes, cfg.GPUs-1)
+		// Only dense incoming segments need the rearrangement kernel; wire
+		// segments go through the expansion kernel below instead. When every
+		// source deduplicated, the unpack launch (and its fixed cost)
+		// disappears entirely.
+		if remoteBytes, segments := plan.collectiveDenseArrivals(g, true); segments > 0 {
+			unpack := dev.UnpackKernelCost(remoteBytes, segments)
 			_, unpackEnd := stream.Launch(p, unpack)
 			p.WaitUntil(unpackEnd)
 			stream.Synchronize(p)
-		} else {
-			// Only dense incoming segments need the rearrangement kernel;
-			// wire segments go through the expansion kernel below instead.
-			// When every source deduplicated, the unpack launch (and its
-			// fixed cost) disappears entirely.
-			var remoteBytes float64
-			segments := 0
-			for src := 0; src < cfg.GPUs; src++ {
-				if plan.CollectiveClass(src, g) != RouteDense {
-					continue
-				}
-				remoteBytes += float64(dv.DenseVecs[src][g]) * vb
-				segments++
-			}
-			if segments > 0 {
-				unpack := dev.UnpackKernelCost(remoteBytes, segments)
-				_, unpackEnd := stream.Launch(p, unpack)
-				p.WaitUntil(unpackEnd)
-				stream.Synchronize(p)
-			}
 		}
 	}
 	if dv != nil {
@@ -301,12 +206,12 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		// ablation removes.
 		var refs int64
 		outVecs := 0
-		for src := 0; src < cfg.GPUs; src++ {
-			if plan.CollectiveClass(src, g) != RouteWire {
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.CollectiveClass(o, g) != RouteWire {
 				continue
 			}
-			refs += dv.MissIdx[src][g]
-			outVecs += int(dv.DenseVecs[src][g])
+			refs += dv.MissIdx[o][g]
+			outVecs += int(dv.DenseVecs[o][g])
 		}
 		if outVecs > 0 {
 			expand := dev.ExpandKernelCost(refs, outVecs, cfg.VectorBytes())
@@ -316,49 +221,220 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		}
 	}
 	if cfg.Functional {
-		b.functionalUnpack(s, g, mini, recvBuf, bd)
+		// In the DirectPlacement ablation this copy models what a scattering
+		// NIC would have done; it costs no simulated time there.
+		s.unpackCollective(g, bd, recvBuf, true)
 	}
 	bk.Accumulate(CompSyncUnpack, p.Now()-unpackStart)
 }
 
-// functionalUnpack rearranges the received rank-major buffer
-// [src][sample][srcLocalFeature][d] into final[sample][globalFeature][d],
-// consuming the buffer sequentially and skipping cache-hit vectors (which
-// never travelled — their final slots were pooled from the cache at
-// classification time). Wire-deduplicated segments carry unique rows instead
-// of vectors; those are expanded (re-pooled) in place. In the
-// DirectPlacement ablation this copy models what a scattering NIC would have
-// done; it costs no simulated time there.
-func (b *Baseline) functionalUnpack(s *System, g, mini int, recvBuf []float32, bd *BatchData) {
+// The all-to-all transport, shared by the baseline (every served pair rides
+// it: all == true) and the fused executor's mixed schedule (only the pairs
+// the plan routes via the collective). Send buffers are consumer-major, and
+// within a consumer's segment shard-ascending and sample-major — the order
+// unpackCollective consumes on the receiving side.
+
+// viaCollective reports whether the (shard o -> consumer c) pair rides the
+// all-to-all: every pair when all is set, otherwise the plan's transport.
+func (p *RoutePlan) viaCollective(o, c int, all bool) bool {
+	return all || p.ViaCollective(o, c)
+}
+
+// packCollective pools (functional mode) every pair GPU g serves over the
+// all-to-all into its send buffer and returns the per-consumer segments (nil
+// for consumers with no such pair). Wire pairs ship their unique rows once,
+// in first-seen order, for the consumer to expand; dense pairs ship their
+// cache-missed pooled vectors.
+func (s *System) packCollective(g int, bd *BatchData, all bool) [][]float32 {
+	cfg := s.Cfg
+	sc := s.scratchFor(g, bd)
+	plan := bd.Plan
+	view := plan.Cache
+	dv := plan.Dedup
+	floats := 0
+	for c := 0; c < cfg.GPUs; c++ {
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, c) == g && plan.viaCollective(o, c, all) {
+				floats += plan.CollectiveVecs(o, c) * cfg.Dim
+			}
+		}
+	}
+	pack := scratchSlice(&sc.packBuf, floats)
+	sendSegs := scratchSlice(&sc.sendSegs, cfg.GPUs)
+	at := 0
+	for c := 0; c < cfg.GPUs; c++ {
+		start, routed := at, false
+		clo, chi := s.Minibatch(c)
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, c) != g || !plan.viaCollective(o, c, all) {
+				continue
+			}
+			routed = true
+			coll := s.colls[o]
+			if plan.CollectiveClass(o, c) == RouteWire {
+				for _, key := range dv.Keys[o][c] {
+					row := int(uint32(key))
+					w := coll.Tables[key>>32].Weights.Data()
+					copy(pack[at:at+cfg.Dim], w[row*cfg.Dim:(row+1)*cfg.Dim])
+					at += cfg.Dim
+				}
+				continue
+			}
+			part := bd.Parts[o]
+			for smp := clo; smp < chi; smp++ {
+				for fi := range part.Features {
+					if view != nil && o != c && view.Hit[o][fi*cfg.BatchSize+smp] {
+						continue
+					}
+					coll.Tables[fi].LookupPooled(part.Features[fi].Bag(smp), coll.Mode, pack[at:at+cfg.Dim])
+					at += cfg.Dim
+				}
+			}
+		}
+		sendSegs[c] = nil
+		if routed {
+			sendSegs[c] = pack[start:at]
+		}
+	}
+	return sendSegs
+}
+
+// exchangeCollective runs GPU g's all_to_all_single over the pairs riding
+// the collective and returns the functional receive buffer (source-major;
+// nil in timing mode, where the plan supplies segment sizes at wire
+// precision). Every rank enters, even with all-zero segments — the
+// bulk-synchronous contract. The launch waits on the exchange gate first, so
+// a pipelined schedule's gate stall lands in the caller's communication
+// phase.
+func (s *System) exchangeCollective(p *sim.Proc, g int, bd *BatchData, all bool) []float32 {
+	cfg := s.Cfg
+	sc := s.scratchFor(g, bd)
+	plan := bd.Plan
+	s.awaitExchangeGate(p, g)
+	if cfg.Functional {
+		sendSegs := s.packCollective(g, bd, all)
+		recvSegs := scratchSlice(&sc.recvSegs, cfg.GPUs)
+		recvFloats := 0
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.viaCollective(o, g, all) {
+				recvFloats += plan.CollectiveVecs(o, g) * cfg.Dim
+			}
+		}
+		recvBuf := scratchSlice(&sc.recvBuf, recvFloats)
+		at := 0
+		for src := 0; src < cfg.GPUs; src++ {
+			start, routed := at, false
+			for o := 0; o < cfg.GPUs; o++ {
+				if plan.ServeGPU(o, g) == src && plan.viaCollective(o, g, all) {
+					at += plan.CollectiveVecs(o, g) * cfg.Dim
+					routed = true
+				}
+			}
+			recvSegs[src] = nil
+			if routed {
+				recvSegs[src] = recvBuf[start:at]
+			}
+		}
+		s.Comm.AllToAllSingle(p, g, sendSegs, recvSegs)
+		return recvBuf
+	}
+	sendBytes := scratchSlice(&sc.sendBytes, cfg.GPUs)
+	recvBytes := scratchSlice(&sc.recvBytes, cfg.GPUs)
+	wvb := float64(cfg.WireVectorBytes())
+	for peer := 0; peer < cfg.GPUs; peer++ {
+		sendBytes[peer] = 0
+		recvBytes[peer] = 0
+		if peer == g {
+			continue
+		}
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, peer) == g && plan.viaCollective(o, peer, all) {
+				sendBytes[peer] += float64(plan.CollectiveVecs(o, peer)) * wvb
+			}
+			if plan.ServeGPU(o, g) == peer && plan.viaCollective(o, g, all) {
+				recvBytes[peer] += float64(plan.CollectiveVecs(o, g)) * wvb
+			}
+		}
+	}
+	s.Comm.AllToAllSingleSizes(p, g, sendBytes, recvBytes)
+	return nil
+}
+
+// collectiveDenseArrivals returns the dense (non-wire) bytes GPU g receives
+// from remote sources over the all-to-all and the number of sources sending
+// them: the work of the unpack kernel that rearranges them into the final
+// layout.
+func (p *RoutePlan) collectiveDenseArrivals(g int, all bool) (bytes float64, segments int) {
+	s := p.sys
+	vb := float64(s.Cfg.VectorBytes())
+	for src := 0; src < s.Cfg.GPUs; src++ {
+		if src == g {
+			continue
+		}
+		vecs, sends := 0, false
+		for o := 0; o < s.Cfg.GPUs; o++ {
+			if p.ServeGPU(o, g) == src && p.viaCollective(o, g, all) && p.CollectiveClass(o, g) != RouteWire {
+				vecs += p.CollectiveVecs(o, g)
+				sends = true
+			}
+		}
+		if sends {
+			bytes += float64(vecs) * vb
+			segments++
+		}
+	}
+	return bytes, segments
+}
+
+// unpackCollective lands GPU g's arrivals at their final addresses
+// final[sample][globalFeature][d], consuming the all-to-all's receive buffer
+// in packCollective's order: wire segments are expanded (re-pooled) from
+// their unique rows, dense segments copied around cache-hit slots (those
+// never travelled — they were pooled from the cache at classification time).
+// Pairs that rode one-sided stores are expanded from their staging buffers;
+// their dense outputs already sit at their final addresses.
+func (s *System) unpackCollective(g int, bd *BatchData, recvBuf []float32, all bool) {
 	cfg := s.Cfg
 	plan := bd.Plan
 	view := plan.Cache
 	dv := plan.Dedup
-	final := bd.Final[g]
-	lo, _ := s.Minibatch(g)
-	dst := final.Data()
+	dst := bd.Final[g].Data()
+	lo, hi := s.Minibatch(g)
+	myNode := s.nodeOf(g)
 	at := 0
 	for src := 0; src < cfg.GPUs; src++ {
-		if plan.CollectiveClass(src, g) == RouteWire {
-			rows := recvBuf[at : at+int(dv.Uniq[src][g])*cfg.Dim]
-			at += len(rows)
-			s.functionalExpand(g, src, rows, dv.Expand[src][g], bd.Summary, view, dst)
-			continue
-		}
-		fsrc := s.LocalTables(src)
-		var hitRow []bool
-		if view != nil && src != g {
-			hitRow = view.Hit[src]
-		}
-		for smp := 0; smp < mini; smp++ {
-			for fi := 0; fi < fsrc; fi++ {
-				if hitRow != nil && hitRow[fi*cfg.BatchSize+lo+smp] {
-					continue
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, g) != src {
+				continue
+			}
+			if !plan.viaCollective(o, g, all) {
+				switch plan.Class(o, g) {
+				case RouteNodeWire:
+					s.functionalExpand(g, o, bd.NodeStage[o][myNode], dv.NodeExpand[o][g], bd.Summary, view, dst)
+				case RouteWire:
+					s.functionalExpand(g, o, bd.DedupStage[o][g], dv.Expand[o][g], bd.Summary, view, dst)
 				}
-				globalFID := s.Plan[src][fi]
-				to := dst[(smp*cfg.TotalTables+globalFID)*cfg.Dim:]
-				copy(to[:cfg.Dim], recvBuf[at:at+cfg.Dim])
-				at += cfg.Dim
+				continue
+			}
+			if plan.CollectiveClass(o, g) == RouteWire {
+				rows := recvBuf[at : at+int(dv.Uniq[o][g])*cfg.Dim]
+				at += len(rows)
+				s.functionalExpand(g, o, rows, dv.Expand[o][g], bd.Summary, view, dst)
+				continue
+			}
+			var hitRow []bool
+			if view != nil && o != g {
+				hitRow = view.Hit[o]
+			}
+			for smp := lo; smp < hi; smp++ {
+				for fi, globalFID := range s.Plan[o] {
+					if hitRow != nil && hitRow[fi*cfg.BatchSize+smp] {
+						continue
+					}
+					to := dst[((smp-lo)*cfg.TotalTables+globalFID)*cfg.Dim:]
+					copy(to[:cfg.Dim], recvBuf[at:at+cfg.Dim])
+					at += cfg.Dim
+				}
 			}
 		}
 	}

@@ -194,26 +194,31 @@ func TestMultiNodeSteadyStateZeroAllocs(t *testing.T) {
 		depth    int
 		prec     Precision
 		backend  Backend
+		hw       HardwareParams
 	}{
-		{"pgas-fused", false, 0, 1, FP32, &PGASFused{}},
-		{"pgas-fused-dedup", true, 0, 1, FP32, &PGASFused{}},
-		{"pgas-fused-replicas2", false, 2, 1, FP32, &PGASFused{}},
-		{"baseline", false, 0, 1, FP32, &Baseline{}},
-		{"baseline-replicas2", false, 2, 1, FP32, &Baseline{}},
-		{"hybrid", false, 0, 1, FP32, &Hybrid{}},
-		{"hybrid-dedup", true, 0, 1, FP32, &Hybrid{}},
+		{"pgas-fused", false, 0, 1, FP32, &PGASFused{}, ClusterHardware(2)},
+		{"pgas-fused-dedup", true, 0, 1, FP32, &PGASFused{}, ClusterHardware(2)},
+		{"pgas-fused-replicas2", false, 2, 1, FP32, &PGASFused{}, ClusterHardware(2)},
+		{"baseline", false, 0, 1, FP32, &Baseline{}, ClusterHardware(2)},
+		{"baseline-replicas2", false, 2, 1, FP32, &Baseline{}, ClusterHardware(2)},
+		{"hybrid", false, 0, 1, FP32, &Hybrid{}, ClusterHardware(2)},
+		{"hybrid-dedup", true, 0, 1, FP32, &Hybrid{}, ClusterHardware(2)},
 		// Depth-2 pipelined variants: the per-slot arenas, window rendezvous
 		// and QuietSlot path must hold the same zero-alloc contract.
-		{"pgas-fused-depth2", false, 0, 2, FP32, &PGASFused{}},
-		{"pgas-fused-dedup-depth2", true, 0, 2, FP32, &PGASFused{}},
-		{"baseline-depth2", false, 0, 2, FP32, &Baseline{}},
-		{"hybrid-depth2", false, 0, 2, FP32, &Hybrid{}},
+		{"pgas-fused-depth2", false, 0, 2, FP32, &PGASFused{}, ClusterHardware(2)},
+		{"pgas-fused-dedup-depth2", true, 0, 2, FP32, &PGASFused{}, ClusterHardware(2)},
+		{"baseline-depth2", false, 0, 2, FP32, &Baseline{}, ClusterHardware(2)},
+		{"hybrid-depth2", false, 0, 2, FP32, &Hybrid{}, ClusterHardware(2)},
 		// Reduced-wire-precision variants: codec vector counting and the
 		// encode/decode kernel charges must not allocate either.
-		{"pgas-fused-batch-fp16", false, 0, 1, FP16, &PGASFused{}},
-		{"pgas-fused-batch-int8", false, 0, 1, Int8, &PGASFused{}},
-		{"baseline-fp16", false, 0, 1, FP16, &Baseline{}},
-		{"hybrid-int8", true, 0, 1, Int8, &Hybrid{}},
+		{"pgas-fused-batch-fp16", false, 0, 1, FP16, &PGASFused{}, ClusterHardware(2)},
+		{"pgas-fused-batch-int8", false, 0, 1, Int8, &PGASFused{}, ClusterHardware(2)},
+		{"baseline-fp16", false, 0, 1, FP16, &Baseline{}, ClusterHardware(2)},
+		{"hybrid-int8", true, 0, 1, Int8, &Hybrid{}, ClusterHardware(2)},
+		// Header-taxed cluster: intra-node pairs ride the all-to-all while
+		// cross-node pairs stay on stores, so one batch runs both transports.
+		{"hybrid-mixed", false, 0, 1, FP32, &Hybrid{}, headerTaxedHardware(2)},
+		{"hybrid-mixed-dedup", true, 0, 1, FP32, &Hybrid{}, headerTaxedHardware(2)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -223,7 +228,7 @@ func TestMultiNodeSteadyStateZeroAllocs(t *testing.T) {
 			cfg.PipelineDepth = c.depth
 			cfg.WirePrecision = c.prec
 			r := testing.Benchmark(func(b *testing.B) {
-				sys, err := NewSystem(cfg, ClusterHardware(2))
+				sys, err := NewSystem(cfg, c.hw)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,7 +5,6 @@ import (
 
 	"pgasemb/internal/cache"
 	"pgasemb/internal/embedding"
-	"pgasemb/internal/sparse"
 	"pgasemb/internal/workload"
 )
 
@@ -80,19 +79,6 @@ type CacheView struct {
 	WireIdx  [][]int64
 }
 
-// SkipFrom returns the vectors (and their pooled indices) that work-owner g
-// does NOT gather or send this batch. Nil-safe.
-func (v *CacheView) SkipFrom(g int) (vecs int, idx int64) {
-	if v == nil {
-		return 0, 0
-	}
-	for dst, n := range v.WireVecs[g] {
-		vecs += n
-		idx += v.WireIdx[g][dst]
-	}
-	return vecs, idx
-}
-
 // HitAt returns the vectors (and their pooled indices) that consumer g pools
 // from its own cache this batch. Nil-safe.
 func (v *CacheView) HitAt(g int) (vecs int, idx int64) {
@@ -156,10 +142,8 @@ func poolFromCache(c *cache.Cache, fid int32, rows []int32, mode embedding.Pooli
 
 // cacheChunkOwner returns the hit vectors (and pooled indices) that
 // work-owner g skips within sample range [s0, s1) — the fused kernel's
-// per-chunk discount. When perPeer is non-nil it additionally tallies the
-// skipped vectors by consuming GPU (for the timing put loop); entries must
-// be zeroed by the caller.
-func (s *System) cacheChunkOwner(view *CacheView, sum *workload.Summary, g, s0, s1 int, perPeer []int) (vecs int, idx int64) {
+// per-chunk discount.
+func (s *System) cacheChunkOwner(view *CacheView, sum *workload.Summary, g, s0, s1 int) (vecs int, idx int64) {
 	if view == nil {
 		return 0, 0
 	}
@@ -173,9 +157,6 @@ func (s *System) cacheChunkOwner(view *CacheView, sum *workload.Summary, g, s0, 
 			}
 			vecs++
 			idx += int64(pool[smp])
-			if perPeer != nil {
-				perPeer[sparse.OwnerOfSample(B, s.Cfg.GPUs, smp)]++
-			}
 		}
 	}
 	return vecs, idx

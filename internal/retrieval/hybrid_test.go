@@ -25,8 +25,9 @@ func headerTaxedHardware(nodes int) HardwareParams {
 }
 
 // probeRoutes compiles one batch on a fresh system and reports the hybrid
-// routing scan, so tests can assert which execution mode a configuration
-// actually engages (instead of silently degrading to a delegate mode).
+// transport routing, so tests can assert which execution mode a
+// configuration actually engages (instead of silently degrading to a
+// delegate mode).
 func probeRoutes(t *testing.T, cfg Config, hw HardwareParams) (anyColl, allColl bool) {
 	t.Helper()
 	s, err := NewSystem(cfg, hw)
@@ -37,8 +38,7 @@ func probeRoutes(t *testing.T, cfg Config, hw HardwareParams) (anyColl, allColl 
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &Hybrid{}
-	return h.scanRoutes(s, bd.Plan)
+	return bd.Plan.routeTransports(prefersCollective)
 }
 
 // hybridCase runs the hybrid backend functionally (bit-exact vs Reference)

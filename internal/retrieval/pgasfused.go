@@ -3,6 +3,8 @@ package retrieval
 import (
 	"fmt"
 
+	"pgasemb/internal/embedding"
+	"pgasemb/internal/gpu"
 	"pgasemb/internal/pgas"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
@@ -58,11 +60,13 @@ func (b *PGASFused) ValidateConfig(cfg Config) error {
 	return nil
 }
 
+// RunBatch runs the fused executor over the (shard, consumer) pairs GPU g
+// serves, following the plan's per-pair transport. On its own the plan
+// routes every pair over one-sided stores; when a transport rule (the hybrid
+// backend's) moved some pairs onto the all-to-all, the same chunked kernel
+// streams those into the send buffer instead and the batch ends with the
+// collective exchange.
 func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {
-	if s.Cfg.Replicas > 1 {
-		b.runReplicated(s, p, g, bd, bk)
-		return
-	}
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	stream := dev.Stream("emb-fused")
@@ -72,7 +76,6 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	fg := s.LocalTables(g)
 	lo, hi := s.Minibatch(g)
 	mini := hi - lo
-	peers := cfg.GPUs - 1
 
 	var agg *pgas.Aggregator
 	if b.Aggregate != nil {
@@ -94,9 +97,8 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	plan := bd.Plan
 	view := plan.Cache
 	dv := plan.Dedup
-	batchSkipVecs, _ := view.SkipFrom(g)
 	batchHitVecs, _ := view.HitAt(g)
-	kernelItems := cfg.BatchSize*fg - batchSkipVecs + batchHitVecs
+	kernelItems := plan.servedVecs(g) + batchHitVecs
 	if dv != nil {
 		for d := 0; d < cfg.GPUs; d++ {
 			if plan.Class(g, d) == RouteWire {
@@ -111,10 +113,8 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 			}
 		}
 	}
-	var perPeer []int
-	if view != nil && !cfg.Functional && dv == nil {
-		perPeer = scratchSlice(&sc.perPeer, cfg.GPUs)
-	}
+	peers := plan.storePeers(g)
+	stores := scratchSlice(&sc.stores, cfg.GPUs)
 
 	var scratch []float32
 	var cursors, nodeCursors []int
@@ -154,63 +154,22 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 		if s0 == s1 {
 			continue
 		}
-		var cost sim.Duration
-		if dv == nil {
-			for i := range perPeer {
-				perPeer[i] = 0
-			}
-			skipVecs, skipIdx := plan.OwnerChunkHits(bd.Summary, g, s0, s1, perPeer)
-			hitVecs, hitIdx := plan.ConsumerChunkHits(bd.Summary, g, s0, s1)
-			chunkIdx := s.localIndexTotal(bd.Summary, g, s0, s1) - skipIdx
-			// Local outputs store to HBM; remote outputs leave from registers.
-			localSamples := overlap(s0, s1, lo, hi)
-			remoteSamples := (s1 - s0) - localSamples
-			readBytes := float64(chunkIdx)*fvb +
-				dev.HotReadEquivalent(float64(hitIdx)*fvb)
-			streamBytes := float64(chunkIdx+hitIdx)*8 + float64(localSamples*fg+hitVecs)*fvb
-			cost = dev.GatherKernelChunkCost(readBytes, streamBytes, (s1-s0)*fg-skipVecs+hitVecs, kernelItems) +
-				dev.RemoteIssueCost(remoteSamples*fg-skipVecs) +
-				sim.Duration(peers)*dev.Params().RemotePeerChunkOverhead
-		} else {
-			cost = b.dedupChunkCost(s, g, bd, s0, s1, kernelItems)
-		}
-		p.Wait(cost)
+		p.Wait(s.fusedChunkCost(g, bd, s0, s1, kernelItems, peers, stores))
 
 		if cfg.Functional {
-			b.functionalChunk(s, p, g, bd, s0, s1, scratch, cursors, nodeCursors, agg)
+			s.fusedChunkStores(g, bd, s0, s1, scratch, cursors, nodeCursors, agg)
 			continue
 		}
-		for peer := 0; peer < cfg.GPUs; peer++ {
-			if peer == g {
-				continue
-			}
-			var vecs int
-			target := peer
-			switch plan.Class(g, peer) {
-			case RouteNodeWire:
-				// Node-level wire dedup: only the keys FIRST seen in this
-				// peer's share of the chunk cross the NIC, addressed at the
-				// destination node's stage-lane GPU.
-				node := s.nodeOf(peer)
-				plo, phi := s.Minibatch(peer)
-				o0, o1 := clampRange(s0, s1, plo, phi)
-				vecs = plan.NodeNewKeysIn(g, node, o0, o1)
-				target = s.stageGPU(g, node)
-			case RouteWire:
-				vecs = plan.NewKeysIn(g, peer, s0, s1)
-			default:
-				plo, phi := s.Minibatch(peer)
-				vecs = overlap(s0, s1, plo, phi) * fg
-				if dv != nil {
-					o0, o1 := clampRange(s0, s1, plo, phi)
-					hitV, _ := plan.OwnerChunkHits(bd.Summary, g, o0, o1, nil)
-					vecs -= hitV
-				} else if perPeer != nil {
-					vecs -= perPeer[peer]
-				}
-			}
+		for c, vecs := range stores {
 			if vecs == 0 {
 				continue
+			}
+			target := c
+			if plan.Class(g, c) == RouteNodeWire {
+				// Node-level wire dedup: the chunk's new node keys are
+				// addressed at the destination node's stage-lane GPU.
+				// (Dedup and replication are exclusive: g owns the pair.)
+				target = s.stageGPU(g, s.nodeOf(c))
 			}
 			if agg != nil {
 				agg.StoreBytes(s.PGAS.PE(target), vecs*wireVecBytes)
@@ -226,55 +185,22 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	pe.QuietSlot(p, bd.Slot)
 	bk.Accumulate(CompFused, p.Now()-batchStart)
 
+	if plan.mixedTransport() {
+		b.finishMixed(s, p, g, bd, bk, stream)
+		return
+	}
+
 	if bd.dedupBarrier != nil {
 		// Quiet drained only OUR pipes; expansion consumes rows streamed by
 		// every owner, so all PEs rendezvous first.
 		expandStart := p.Now()
 		bd.dedupBarrier.Await(p)
-		myNode := s.nodeOf(g)
-		var refs int64
-		outVecs := 0
-		var redist sim.Time
-		for src := 0; src < cfg.GPUs; src++ {
-			if src == g {
-				continue
-			}
-			switch plan.Class(src, g) {
-			case RouteNodeWire:
-				refs += dv.MissIdx[src][g]
-				outVecs += int(dv.DenseVecs[src][g])
-				if lane := s.stageGPU(src, myNode); lane != g {
-					// The staged node-unique rows landed on the lane GPU;
-					// redistribute them over NVLink before expanding (still
-					// wire-encoded; consumers decode before the final sync).
-					bytes := float64(dv.NodeUniq[src][myNode]) * s.Fab.WireBytes(wireVecBytes)
-					if done := s.Fab.Pipe(lane, g).Offer(bytes); done > redist {
-						redist = done
-					}
-				}
-			case RouteWire:
-				refs += dv.MissIdx[src][g]
-				outVecs += int(dv.DenseVecs[src][g])
-			}
-		}
-		if redist > p.Now() {
-			p.WaitUntil(redist)
-		}
+		refs, outVecs := s.expansionLoad(p, g, bd)
 		if outVecs > 0 {
 			expand := dev.ExpandKernelCost(refs, outVecs, vecBytes)
 			stream.Launch(p, expand) // drains before the final Synchronize
 			if cfg.Functional {
-				for src := 0; src < cfg.GPUs; src++ {
-					if src == g {
-						continue
-					}
-					switch plan.Class(src, g) {
-					case RouteNodeWire:
-						s.functionalExpand(g, src, bd.NodeStage[src][myNode], dv.NodeExpand[src][g], bd.Summary, view, bd.Final[g].Data())
-					case RouteWire:
-						s.functionalExpand(g, src, bd.DedupStage[src][g], dv.Expand[src][g], bd.Summary, view, bd.Final[g].Data())
-					}
-				}
+				s.unpackCollective(g, bd, nil, false)
 			}
 		}
 		bk.Accumulate(CompSyncUnpack, p.Now()-expandStart)
@@ -282,6 +208,8 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 
 	if b.StageRemote && cfg.GPUs > 1 {
 		// A2 ablation: remote stores landed rank-ordered; rearrange.
+		// (Staging addresses fixed owners, so replication is rejected by
+		// ValidateConfig and g's peers are the shard owners.)
 		unpackStart := p.Now()
 		var remoteBytes float64
 		if dv == nil {
@@ -328,68 +256,173 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	bk.Accumulate(CompSyncUnpack, p.Now()-syncStart)
 }
 
-// dedupChunkCost prices one chunk of the deduplicated fused kernel by
-// destination pair: own-minibatch outputs store to HBM (with gather dedup
-// when it wins), dense remote pairs issue per-vector stores, and wire pairs
-// gather and issue only the keys first seen in this chunk. Chunk items sum
-// exactly to the kernel's occupancy item count.
-func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems int) sim.Duration {
+// finishMixed ends a batch whose pairs split across both transports. Quiet
+// has drained this rank's stores; ALL ranks now enter one all-to-all
+// carrying only the collective-routed pairs — its entry rendezvous doubles as
+// the post-store barrier, so staged dedup rows are complete before any
+// consumer expands. Then the collective's dense segments are unpacked and one
+// expansion kernel re-pools every wire pairing, whichever transport
+// delivered its rows.
+func (b *PGASFused) finishMixed(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown, stream *gpu.Stream) {
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	plan := bd.Plan
-	fg := s.LocalTables(g)
+	commStart := p.Now()
+	recvBuf := s.exchangeCollective(p, g, bd, false)
+	bk.Accumulate(CompComm, p.Now()-commStart)
+
+	unpackStart := p.Now()
+	// Consumer-side wire decode first: both arrival paths carry encoded
+	// rows, dequantized back to fp32 before unpack/expansion reads them.
+	if cfg.WireCodecActive() {
+		if _, recv := plan.OneSidedCodecVecs(g); recv > 0 {
+			dec := dev.DecodeKernelCost(float64(recv)*float64(cfg.WireVectorBytes()), float64(recv)*float64(cfg.VectorBytes()))
+			_, decEnd := stream.Launch(p, dec)
+			p.WaitUntil(decEnd)
+		}
+	}
+	if denseBytes, denseSegs := plan.collectiveDenseArrivals(g, false); denseSegs > 0 {
+		unpack := dev.UnpackKernelCost(denseBytes, denseSegs)
+		_, unpackEnd := stream.Launch(p, unpack)
+		p.WaitUntil(unpackEnd)
+	}
+	if plan.Dedup != nil {
+		// Expansion cost is transport-independent: the same references
+		// re-pool from the same unique-row working set whether the rows
+		// arrived in a collective segment or a PGAS staging buffer.
+		if refs, outVecs := s.expansionLoad(p, g, bd); outVecs > 0 {
+			expand := dev.ExpandKernelCost(refs, outVecs, cfg.VectorBytes())
+			_, expandEnd := stream.Launch(p, expand)
+			p.WaitUntil(expandEnd)
+		}
+	}
+	if cfg.Functional {
+		s.unpackCollective(g, bd, recvBuf, false)
+	}
+	stream.Synchronize(p)
+	bk.Accumulate(CompSyncUnpack, p.Now()-unpackStart)
+}
+
+// expansionLoad returns consumer g's expansion work — the pooled-index
+// references and output vectors of every wire pairing it receives — after
+// redistributing node-staged rows from their stage-lane GPU over NVLink
+// (still wire-encoded; consumers decode before the final sync) and waiting
+// for the last of them to land.
+func (s *System) expansionLoad(p *sim.Proc, g int, bd *BatchData) (refs int64, outVecs int) {
+	plan := bd.Plan
+	dv := plan.Dedup
+	myNode := s.nodeOf(g)
+	var redist sim.Time
+	for src := 0; src < s.Cfg.GPUs; src++ {
+		if src == g {
+			continue
+		}
+		switch plan.Class(src, g) {
+		case RouteNodeWire:
+			refs += dv.MissIdx[src][g]
+			outVecs += int(dv.DenseVecs[src][g])
+			if lane := s.stageGPU(src, myNode); lane != g {
+				bytes := float64(dv.NodeUniq[src][myNode]) * s.Fab.WireBytes(s.Cfg.WireVectorBytes())
+				if done := s.Fab.Pipe(lane, g).Offer(bytes); done > redist {
+					redist = done
+				}
+			}
+		case RouteWire:
+			refs += dv.MissIdx[src][g]
+			outVecs += int(dv.DenseVecs[src][g])
+		}
+	}
+	if redist > p.Now() {
+		p.WaitUntil(redist)
+	}
+	return refs, outVecs
+}
+
+// fusedChunkCost prices one chunk of the fused kernel pair by pair over the
+// (shard, consumer) pairs GPU g serves: own-minibatch outputs store to HBM
+// (with gather dedup when it wins), dense remote pairs gather their cache
+// misses and issue one store per vector, and wire pairs gather and issue
+// only the keys first seen in this chunk. Pairs riding the all-to-all stream
+// their outputs into the HBM send buffer instead of issuing stores, and the
+// per-peer store overhead covers store-routed peers only. Chunk items sum
+// exactly to the kernel's occupancy item count. stores[c] receives the
+// vectors the chunk issues to consumer c as one-sided stores.
+func (s *System) fusedChunkCost(g int, bd *BatchData, s0, s1, kernelItems, peers int, stores []int) sim.Duration {
+	cfg := s.Cfg
+	dev := s.Devs[g]
+	plan := bd.Plan
 	fvb := float64(cfg.VectorBytes())
 	var readBytes, streamBytes float64
 	var items, issues int
 	var chunkIdx int64
-	for d := 0; d < cfg.GPUs; d++ {
-		dlo, dhi := s.Minibatch(d)
-		o0, o1 := clampRange(s0, s1, dlo, dhi)
-		if o1 <= o0 {
+	for c := range stores {
+		stores[c] = 0
+	}
+	for c := 0; c < cfg.GPUs; c++ {
+		clo, chi := s.Minibatch(c)
+		c0, c1 := clampRange(s0, s1, clo, chi)
+		if c1 <= c0 {
 			continue
 		}
-		ovl := o1 - o0
-		pairIdx := s.localIndexTotal(bd.Summary, g, o0, o1)
-		if d == g {
-			chunkIdx += pairIdx
-			if plan.GatherDedup(g, g) {
-				nk := int64(plan.NewKeysIn(g, g, o0, o1))
-				readBytes += float64(nk)*fvb + dev.HotReadEquivalent(float64(pairIdx-nk)*fvb)
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, c) != g {
+				continue
+			}
+			vecs := (c1 - c0) * s.LocalTables(o)
+			pairIdx := s.localIndexTotal(bd.Summary, o, c0, c1)
+			if c == g {
+				chunkIdx += pairIdx
+				if plan.GatherDedup(o, c) {
+					nk := int64(plan.NewKeysIn(o, c, c0, c1))
+					readBytes += float64(nk)*fvb + dev.HotReadEquivalent(float64(pairIdx-nk)*fvb)
+					streamBytes += float64(nk) * fvb
+				} else {
+					readBytes += float64(pairIdx) * fvb
+				}
+				streamBytes += float64(vecs) * fvb
+				items += vecs
+				continue
+			}
+			hitV, hitI := plan.OwnerChunkHits(bd.Summary, o, c0, c1)
+			missIdx := pairIdx - hitI
+			chunkIdx += missIdx
+			coll := plan.ViaCollective(o, c)
+			switch plan.Class(o, c) {
+			case RouteNodeWire:
+				nk := plan.NodeNewKeysIn(o, s.nodeOf(c), c0, c1)
+				readBytes += float64(nk) * fvb
+				items += nk
+				issues += nk
+				stores[c] += nk
+				continue
+			case RouteWire:
+				nk := plan.NewKeysIn(o, c, c0, c1)
+				readBytes += float64(nk) * fvb
+				items += nk
+				if coll {
+					streamBytes += float64(nk) * fvb
+				} else {
+					issues += nk
+					stores[c] += nk
+				}
+				continue
+			}
+			missVecs := vecs - hitV
+			if plan.GatherDedup(o, c) {
+				nk := int64(plan.NewKeysIn(o, c, c0, c1))
+				readBytes += float64(nk)*fvb + dev.HotReadEquivalent(float64(missIdx-nk)*fvb)
 				streamBytes += float64(nk) * fvb
 			} else {
-				readBytes += float64(pairIdx) * fvb
+				readBytes += float64(missIdx) * fvb
 			}
-			streamBytes += float64(ovl*fg) * fvb
-			items += ovl * fg
-			continue
+			items += missVecs
+			if coll {
+				streamBytes += float64(missVecs) * fvb
+			} else {
+				issues += missVecs
+				stores[c] += missVecs
+			}
 		}
-		hitV, hitI := plan.OwnerChunkHits(bd.Summary, g, o0, o1, nil)
-		missIdx := pairIdx - hitI
-		chunkIdx += missIdx
-		switch plan.Class(g, d) {
-		case RouteNodeWire:
-			nk := plan.NodeNewKeysIn(g, s.nodeOf(d), o0, o1)
-			readBytes += float64(nk) * fvb
-			items += nk
-			issues += nk
-			continue
-		case RouteWire:
-			nk := plan.NewKeysIn(g, d, o0, o1)
-			readBytes += float64(nk) * fvb
-			items += nk
-			issues += nk
-			continue
-		}
-		missVecs := ovl*fg - hitV
-		if plan.GatherDedup(g, d) {
-			nk := int64(plan.NewKeysIn(g, d, o0, o1))
-			readBytes += float64(nk)*fvb + dev.HotReadEquivalent(float64(missIdx-nk)*fvb)
-			streamBytes += float64(nk) * fvb
-		} else {
-			readBytes += float64(missIdx) * fvb
-		}
-		items += missVecs
-		issues += missVecs
 	}
 	hitVecs, hitIdx := plan.ConsumerChunkHits(bd.Summary, g, s0, s1)
 	readBytes += dev.HotReadEquivalent(float64(hitIdx) * fvb)
@@ -397,7 +430,7 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 	items += hitVecs
 	return dev.GatherKernelChunkCost(readBytes, streamBytes, items, kernelItems) +
 		dev.RemoteIssueCost(issues) +
-		sim.Duration(cfg.GPUs-1)*dev.Params().RemotePeerChunkOverhead
+		sim.Duration(peers)*dev.Params().RemotePeerChunkOverhead
 }
 
 // clampRange returns [a0, a1) ∩ [b0, b1) as a (possibly empty) range.
@@ -411,97 +444,81 @@ func clampRange(a0, a1, b0, b1 int) (int, int) {
 	return a0, a1
 }
 
-// functionalChunk pools every (sample, feature) output in [s0, s1) and
-// stores it one-sidedly at its final address on the owning GPU — except
-// cache-hit vectors, which the consumer already pooled locally, and wire
-// pairs, where only the unique rows first referenced in this chunk are
-// streamed (in canonical first-seen order) into the owner's staging buffer;
-// the owner expands them after the dedup barrier.
-func (b *PGASFused) functionalChunk(s *System, p *sim.Proc, g int, bd *BatchData, s0, s1 int, scratch []float32, cursors, nodeCursors []int, agg *pgas.Aggregator) {
+// fusedChunkStores pools every output in [s0, s1) that GPU g serves over
+// one-sided stores and stores it at its final address on the consumer (a
+// local copy for its own minibatch) — except cache-hit vectors, which the
+// consumer already pooled locally, and wire pairs, where only the unique rows
+// first referenced in this chunk are streamed (in canonical first-seen
+// order) into the consumer's staging buffer; the consumer expands them after
+// the dedup barrier. Pairs riding the all-to-all are packed after the kernel.
+func (s *System) fusedChunkStores(g int, bd *BatchData, s0, s1 int, scratch []float32, cursors, nodeCursors []int, agg *pgas.Aggregator) {
 	cfg := s.Cfg
 	plan := bd.Plan
 	view := plan.Cache
 	dv := plan.Dedup
 	pe := s.PGAS.PE(g)
-	part := bd.Parts[g]
-	coll := s.colls[g]
 	for smp := s0; smp < s1; smp++ {
-		owner := sparse.OwnerOfSample(cfg.BatchSize, cfg.GPUs, smp)
-		olo, _ := s.Minibatch(owner)
-		if plan.Class(g, owner) == RouteNodeWire {
-			// Node-level wire dedup: stream the node keys this sample
-			// introduces into the destination node's staging buffer, via its
-			// stage-lane PE (one NIC crossing per node-unique row).
-			node := s.nodeOf(owner)
-			nlo, _ := s.nodeSampleRange(node)
-			n := int(dv.NodeNewAt[g][node][smp-nlo])
-			if n == 0 {
+		c := sparse.OwnerOfSample(cfg.BatchSize, cfg.GPUs, smp)
+		clo, _ := s.Minibatch(c)
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, c) != g || plan.ViaCollective(o, c) {
 				continue
 			}
-			cur := nodeCursors[node]
-			stage := bd.NodeStage[g][node]
-			keys := dv.NodeKeys[g][node]
-			lane := s.PGAS.PE(s.stageGPU(g, node))
-			for i := 0; i < n; i++ {
-				key := keys[cur+i]
-				fi := int(key >> 32)
-				row := int(uint32(key))
-				w := coll.Tables[fi].Weights.Data()
-				dst := stage[(cur+i)*cfg.Dim : (cur+i+1)*cfg.Dim]
-				src := w[row*cfg.Dim : (row+1)*cfg.Dim]
-				if agg != nil {
-					agg.Store(lane, dst, src)
-				} else {
-					pe.PutFloat32s(lane, dst, src)
+			coll := s.colls[o]
+			switch plan.Class(o, c) {
+			case RouteNodeWire:
+				// Node-level wire dedup: stream the node keys this sample
+				// introduces into the destination node's staging buffer, via
+				// its stage-lane PE (one NIC crossing per node-unique row).
+				node := s.nodeOf(c)
+				nlo, _ := s.nodeSampleRange(node)
+				cur := nodeCursors[node]
+				n := int(dv.NodeNewAt[o][node][smp-nlo])
+				lane := s.PGAS.PE(s.stageGPU(o, node))
+				s.storeRows(pe, lane, coll, dv.NodeKeys[o][node][cur:cur+n], bd.NodeStage[o][node][cur*cfg.Dim:], agg)
+				nodeCursors[node] = cur + n
+			case RouteWire:
+				// Stream the keys this sample introduces; everything else in
+				// its bags is already staged (only first references ship).
+				cur := cursors[c]
+				n := int(dv.NewAt[o][c][smp-clo])
+				s.storeRows(pe, s.PGAS.PE(c), coll, dv.Keys[o][c][cur:cur+n], bd.DedupStage[o][c][cur*cfg.Dim:], agg)
+				cursors[c] = cur + n
+			default:
+				dstData := bd.Final[c].Data()
+				part := bd.Parts[o]
+				for fi := range part.Features {
+					if view != nil && view.Hit[o][fi*cfg.BatchSize+smp] {
+						continue
+					}
+					fb := &part.Features[fi]
+					coll.Tables[fi].LookupPooled(fb.Bag(smp), coll.Mode, scratch)
+					off := ((smp-clo)*cfg.TotalTables + fb.FeatureID) * cfg.Dim
+					store(pe, agg, s.PGAS.PE(c), dstData[off:off+cfg.Dim], scratch)
 				}
 			}
-			nodeCursors[node] = cur + n
-			continue
 		}
-		if plan.Class(g, owner) == RouteWire {
-			// Stream the keys this sample introduces; everything else in
-			// this sample's bags is already staged (or will never be — only
-			// first references ship).
-			n := int(dv.NewAt[g][owner][smp-olo])
-			if n == 0 {
-				continue
-			}
-			cur := cursors[owner]
-			stage := bd.DedupStage[g][owner]
-			keys := dv.Keys[g][owner]
-			for i := 0; i < n; i++ {
-				key := keys[cur+i]
-				fi := int(key >> 32)
-				row := int(uint32(key))
-				w := coll.Tables[fi].Weights.Data()
-				dst := stage[(cur+i)*cfg.Dim : (cur+i+1)*cfg.Dim]
-				src := w[row*cfg.Dim : (row+1)*cfg.Dim]
-				if agg != nil {
-					agg.Store(s.PGAS.PE(owner), dst, src)
-				} else {
-					pe.PutFloat32s(s.PGAS.PE(owner), dst, src)
-				}
-			}
-			cursors[owner] = cur + n
-			continue
-		}
-		dstTensor := bd.Final[owner]
-		dstData := dstTensor.Data()
-		for fi := range part.Features {
-			if view != nil && view.Hit[g][fi*cfg.BatchSize+smp] {
-				continue
-			}
-			fb := &part.Features[fi]
-			coll.Tables[fi].LookupPooled(fb.Bag(smp), coll.Mode, scratch)
-			globalFID := fb.FeatureID
-			off := ((smp-olo)*cfg.TotalTables + globalFID) * cfg.Dim
-			dst := dstData[off : off+cfg.Dim]
-			if agg != nil {
-				agg.Store(s.PGAS.PE(owner), dst, scratch)
-			} else {
-				pe.PutFloat32s(s.PGAS.PE(owner), dst, scratch)
-			}
-		}
+	}
+}
+
+// storeRows streams the unique rows named by keys out of coll's tables into
+// consecutive slots of a staging buffer on target, one store per row.
+func (s *System) storeRows(pe, target *pgas.PE, coll *embedding.Collection, keys []uint64, stage []float32, agg *pgas.Aggregator) {
+	d := s.Cfg.Dim
+	for i, key := range keys {
+		row := int(uint32(key))
+		w := coll.Tables[key>>32].Weights.Data()
+		store(pe, agg, target, stage[i*d:(i+1)*d], w[row*d:(row+1)*d])
+	}
+}
+
+// store issues one functional one-sided store, through the aggregator when
+// the backend batches stores.
+func store(pe *pgas.PE, agg *pgas.Aggregator, target *pgas.PE, dst, src []float32) {
+	if agg != nil {
+		agg.Store(target, dst, src)
+	} else {
+		pe.PutFloat32s(target, dst, src)
 	}
 }
 

@@ -3,6 +3,7 @@ package retrieval
 import (
 	"pgasemb/internal/cache"
 	"pgasemb/internal/embedding"
+	"pgasemb/internal/fault"
 	"pgasemb/internal/metrics"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
@@ -61,20 +62,32 @@ func (c PairClass) String() string {
 }
 
 // RoutePlan is one batch's compiled classification: the hot-row cache view,
-// the deduplication view, and the per-pair route queries every backend
-// shares. Cache and Dedup are nil when the corresponding feature is off.
+// the deduplication view, the replica routing, and the per-pair route and
+// transport queries every backend shares. Cache and Dedup are nil when the
+// corresponding feature is off.
+//
+// Backends walk the batch as served (shard, consumer) pairs: shard o's
+// vectors for consumer c are gathered by ServeGPU(o, c) and travel by the
+// pair's transport — one-sided stores from the fused kernel, or the bulk
+// all-to-all. The two paper schemes are the uniform transports (pgas-fused
+// stores every pair, the baseline's bulk kernel sends every pair through the
+// collective); the hybrid backend assigns the transport per pair.
 type RoutePlan struct {
 	sys   *System
 	Cache *CacheView
 	Dedup *DedupView
 
 	// Serve is the batch's replica routing (nil unless Config.Replicas > 1):
-	// Serve[o][c] is the GPU that serves shard o's vectors to consumer c,
-	// chosen from the shard's healthy replicas — the consumer itself when it
-	// holds a mirror, otherwise the replica with the best degradation-aware
-	// path to the consumer. Computed host-side per batch from the fault
-	// schedule, so recompilation routes around links that fault mid-run.
+	// Serve[o][c] is the GPU that serves shard o's vectors to consumer c; see
+	// computeServe.
 	Serve [][]int
+
+	// collective[src*GPUs+dst] marks the pairs that ride the all-to-all
+	// instead of one-sided stores (nil: every pair rides stores). Filled once
+	// per batch by routeTransports, which also records whether any (and
+	// whether every) data-moving pair rides the collective.
+	collective       []bool
+	anyColl, allColl bool
 }
 
 // ServeGPU returns the GPU serving shard o to consumer c (o itself without
@@ -84,6 +97,92 @@ func (p *RoutePlan) ServeGPU(o, c int) int {
 		return o
 	}
 	return p.Serve[o][c]
+}
+
+// ViaCollective reports whether the (shard src -> consumer dst) pair rides
+// the bulk all-to-all rather than one-sided stores. Every pair rides stores
+// unless a transport rule routed the batch (see routeTransports).
+func (p *RoutePlan) ViaCollective(src, dst int) bool {
+	return p.collective != nil && p.collective[src*p.sys.Cfg.GPUs+dst]
+}
+
+// routeTransports assigns every off-diagonal pair its transport — the
+// all-to-all where rule reports true, one-sided stores otherwise — and
+// reports whether any pair that moves data rides the collective and whether
+// every one does (zero-vector pairs are transport-indifferent and excluded
+// from the all-collective tally). The rule runs once per batch: the first GPU
+// process to ask evaluates it and the rest read the stored matrix, which is
+// what each would have derived anyway — the plan is a pure function of the
+// batch and the machine.
+func (p *RoutePlan) routeTransports(rule func(p *RoutePlan, src, dst int) bool) (anyColl, allColl bool) {
+	if p.collective != nil {
+		return p.anyColl, p.allColl
+	}
+	G := p.sys.Cfg.GPUs
+	p.collective = make([]bool, G*G)
+	p.allColl = G > 1
+	for src := 0; src < G; src++ {
+		for dst := 0; dst < G; dst++ {
+			if src == dst {
+				continue
+			}
+			coll := rule(p, src, dst)
+			p.collective[src*G+dst] = coll
+			if p.CollectiveVecs(src, dst) == 0 && p.Class(src, dst) != RouteNodeWire {
+				continue
+			}
+			if coll {
+				p.anyColl = true
+			} else {
+				p.allColl = false
+			}
+		}
+	}
+	return p.anyColl, p.allColl
+}
+
+// mixedTransport reports whether the batch's pairs split across both
+// transports, so the fused executor must run the all-to-all as well.
+func (p *RoutePlan) mixedTransport() bool { return p.anyColl && !p.allColl }
+
+// servedVecs returns the output vectors GPU g produces for the batch: every
+// (shard, consumer) pair it serves, minus the pair's cache-hit vectors (the
+// consumer pools those itself).
+func (p *RoutePlan) servedVecs(g int) int {
+	s := p.sys
+	vecs := 0
+	for c := 0; c < s.Cfg.GPUs; c++ {
+		lo, hi := s.Minibatch(c)
+		for o := 0; o < s.Cfg.GPUs; o++ {
+			if p.ServeGPU(o, c) != g {
+				continue
+			}
+			vecs += (hi - lo) * s.LocalTables(o)
+			if p.Cache != nil && o != c {
+				vecs -= p.Cache.WireVecs[o][c]
+			}
+		}
+	}
+	return vecs
+}
+
+// storePeers returns how many remote consumers GPU g serves over one-sided
+// stores — the peers the fused kernel pays a per-chunk store overhead for.
+func (p *RoutePlan) storePeers(g int) int {
+	G := p.sys.Cfg.GPUs
+	peers := 0
+	for c := 0; c < G; c++ {
+		if c == g {
+			continue
+		}
+		for o := 0; o < G; o++ {
+			if p.ServeGPU(o, c) == g && !p.ViaCollective(o, c) {
+				peers++
+				break
+			}
+		}
+	}
+	return peers
 }
 
 // Class returns the (owner src → consumer dst) route under a one-sided
@@ -149,38 +248,47 @@ func (p *RoutePlan) CollectiveVecs(src, dst int) int {
 }
 
 // CollectiveCodecVecs returns the vectors GPU g encodes into and decodes out
-// of the pair-addressed all-to-all when a wire codec is active: every
-// off-diagonal segment it contributes (sent) and receives (recv). Diagonal
-// segments stay local HBM traffic and are never encoded.
+// of the pair-addressed all-to-all when a wire codec is active: every pair it
+// serves to a remote consumer (sent) and every pair a remote GPU serves to it
+// (recv). Pairs served consumer-locally stay HBM traffic and are never
+// encoded.
 func (p *RoutePlan) CollectiveCodecVecs(g int) (sent, recv int64) {
-	for peer := 0; peer < p.sys.Cfg.GPUs; peer++ {
-		if peer == g {
-			continue
+	G := p.sys.Cfg.GPUs
+	for o := 0; o < G; o++ {
+		for c := 0; c < G; c++ {
+			if c != g && p.ServeGPU(o, c) == g {
+				sent += int64(p.CollectiveVecs(o, c))
+			}
 		}
-		sent += int64(p.CollectiveVecs(g, peer))
-		recv += int64(p.CollectiveVecs(peer, g))
+		if p.ServeGPU(o, g) != g {
+			recv += int64(p.CollectiveVecs(o, g))
+		}
 	}
 	return sent, recv
 }
 
-// OneSidedCodecVecs returns the vectors GPU g encodes (as an owner issuing
+// OneSidedCodecVecs returns the vectors GPU g encodes (as the server issuing
 // one-sided stores) and decodes (as a consumer, before expand/unpack) when a
 // wire codec is active. Node-wire routes ship each node-deduplicated row
 // once per destination node (counted once on the send side), and every
 // consumer on the node decodes the full staged set its expansion references.
+// Per pair both transports move the same vectors, so the tally also covers a
+// batch whose pairs split across stores and the all-to-all.
 func (p *RoutePlan) OneSidedCodecVecs(g int) (sent, recv int64) {
 	s := p.sys
-	for d := 0; d < s.Cfg.GPUs; d++ {
-		if d == g {
-			continue
+	G := s.Cfg.GPUs
+	for o := 0; o < G; o++ {
+		for c := 0; c < G; c++ {
+			if c != g && p.ServeGPU(o, c) == g && p.Class(o, c) != RouteNodeWire {
+				sent += int64(p.CollectiveVecs(o, c))
+			}
 		}
-		if p.Class(g, d) != RouteNodeWire {
-			sent += int64(p.CollectiveVecs(g, d))
-		}
-		if p.Class(d, g) == RouteNodeWire {
-			recv += p.Dedup.NodeUniq[d][s.nodeOf(g)]
-		} else {
-			recv += int64(p.CollectiveVecs(d, g))
+		switch {
+		case p.ServeGPU(o, g) == g:
+		case p.Class(o, g) == RouteNodeWire:
+			recv += p.Dedup.NodeUniq[o][s.nodeOf(g)]
+		default:
+			recv += int64(p.CollectiveVecs(o, g))
 		}
 	}
 	if dv := p.Dedup; dv != nil && dv.NodeWire != nil {
@@ -188,28 +296,6 @@ func (p *RoutePlan) OneSidedCodecVecs(g int) (sent, recv int64) {
 			if wire {
 				sent += dv.NodeUniq[g][node]
 			}
-		}
-	}
-	return sent, recv
-}
-
-// ReplicatedCodecVecs returns the vectors GPU g encodes (pairs the batch's
-// Serve matrix has it serving to REMOTE consumers) and decodes (pairs remote
-// GPUs serve to it) when a wire codec is active. Replicated runs only
-// (Serve != nil); consumer-local mirror reads never touch the wire.
-func (p *RoutePlan) ReplicatedCodecVecs(g int) (sent, recv int64) {
-	s := p.sys
-	glo, ghi := s.Minibatch(g)
-	for o := 0; o < s.Cfg.GPUs; o++ {
-		fgo := int64(s.LocalTables(o))
-		for c := 0; c < s.Cfg.GPUs; c++ {
-			if c != g && p.Serve[o][c] == g {
-				clo, chi := s.Minibatch(c)
-				sent += int64(chi-clo) * fgo
-			}
-		}
-		if p.Serve[o][g] != g {
-			recv += int64(ghi-glo) * fgo
 		}
 	}
 	return sent, recv
@@ -239,8 +325,8 @@ func (p *RoutePlan) NodeNewKeysIn(src, node, s0, s1 int) int {
 
 // OwnerChunkHits returns the cache-hit vectors (and pooled indices) owner g
 // skips within sample range [s0, s1); see cacheChunkOwner.
-func (p *RoutePlan) OwnerChunkHits(sum *workload.Summary, g, s0, s1 int, perPeer []int) (vecs int, idx int64) {
-	return p.sys.cacheChunkOwner(p.Cache, sum, g, s0, s1, perPeer)
+func (p *RoutePlan) OwnerChunkHits(sum *workload.Summary, g, s0, s1 int) (vecs int, idx int64) {
+	return p.sys.cacheChunkOwner(p.Cache, sum, g, s0, s1)
 }
 
 // ConsumerChunkHits returns the cache-hit vectors (and pooled indices)
@@ -263,7 +349,7 @@ type planScratch struct {
 }
 
 // compileRoutePlan runs the classifier passes for one batch and attaches the
-// resulting plan (plus the legacy Cache/Dedup views it owns) to bd.
+// resulting plan to bd.
 func (s *System) compileRoutePlan(bd *BatchData) {
 	plan := &RoutePlan{sys: s}
 	bd.Plan = plan
@@ -271,22 +357,85 @@ func (s *System) compileRoutePlan(bd *BatchData) {
 		// Cache classification first: hit vectors never enter the dedup key
 		// sets, so the dedup pass below sees only cache misses.
 		plan.Cache = s.classifyCache(bd)
-		bd.Cache = plan.Cache
 	} else if s.hotMirrorActive() {
 		// Mirrored hot tables ride the same view: their vectors are
 		// guaranteed local hits for every consumer, so every backend's
 		// cache-skip path serves mirror reads unchanged. (Cache and adaptive
 		// placement are mutually exclusive by Config validation.)
 		plan.Cache = s.classifyHotMirror(bd)
-		bd.Cache = plan.Cache
 	}
 	if s.dedupEnabled() {
 		plan.Dedup = s.classifyDedup(bd)
-		s.attachDedup(bd, plan.Dedup) // sets bd.Dedup and the expansion plumbing
+		s.attachDedup(bd, plan.Dedup)
 	}
 	if s.Cfg.Replicas > 1 {
 		plan.Serve = s.computeServe(s.batchSeq + s.faultOffset)
 	}
+}
+
+// Replicated shards (Config.Replicas > 1): shard o's tables are mirrored on
+// GPUs (o+k) mod GPUs for k < Replicas, and the route-plan compiler picks,
+// per batch and per (shard, consumer) pair, which replica serves — the
+// consumer itself when it holds a mirror (the remote read becomes a local
+// gather), otherwise the replica with the best degradation-aware path. The
+// selection is a pure function of (fault schedule, batch index, machine
+// shape), so every GPU derives the same Serve matrix host-side and no
+// agreement protocol runs on the simulated machine. Backends need no replica
+// code of their own: they walk served pairs through ServeGPU, which is the
+// identity without replication.
+//
+// Functionally, mirrors alias the primary shard's collection (s.colls[o]):
+// replication changes which GPU reads the weights, never the weights
+// themselves, so replicated results are bit-exact against the serial
+// reference under any fault schedule by construction.
+//
+// computeServe builds the batch's replica routing: Serve[o][c] is the GPU
+// serving shard o to consumer c. Ties between equally healthy replicas break
+// toward the smallest replica offset k, keeping the choice deterministic.
+func (s *System) computeServe(batch int) [][]int {
+	cfg := s.Cfg
+	G := cfg.GPUs
+	sched := s.HW.Faults
+	serve := make([][]int, G)
+	for o := 0; o < G; o++ {
+		row := make([]int, G)
+		for c := 0; c < G; c++ {
+			best, bestBW := o, -1.0
+			for k := 0; k < cfg.Replicas; k++ {
+				r := (o + k) % G
+				if r == c {
+					// A consumer-local mirror always wins: no wire at all.
+					best = c
+					break
+				}
+				if bw := s.replicaPathBW(sched, batch, r, c); bw > bestBW {
+					best, bestBW = r, bw
+				}
+			}
+			row[c] = best
+		}
+		serve[o] = row
+	}
+	return serve
+}
+
+// replicaPathBW scores the replica r -> consumer c path: the effective
+// bandwidth of the pair's wire after the batch's degradations. Same-node
+// pairs ride NVLink (link count x per-link rate x link health); cross-node
+// pairs ride the NICs, throttled by the unhealthier of the egress and
+// ingress rails.
+func (s *System) replicaPathBW(sched *fault.Schedule, batch, r, c int) float64 {
+	if s.multiNode() && s.nodeOf(r) != s.nodeOf(c) {
+		egress := sched.NICFactor(batch, s.nodeOf(r), s.Net.Rail(r))
+		ingress := sched.NICFactor(batch, s.nodeOf(c), s.Net.Rail(c))
+		health := egress
+		if ingress < health {
+			health = ingress
+		}
+		return s.HW.NIC.Bandwidth * health
+	}
+	links := float64(s.Fab.Topology().Links(r, c))
+	return links * s.HW.Link.LinkBandwidth * sched.LinkFactor(batch, r, c)
 }
 
 // classifyCache probes every remote-owned output vector of the batch against
@@ -371,7 +520,7 @@ func (s *System) classifyDedup(bd *BatchData) *DedupView {
 	cfg := s.Cfg
 	B, G := cfg.BatchSize, cfg.GPUs
 	vb := float64(cfg.VectorBytes())
-	view := bd.Cache
+	view := bd.Plan.Cache
 	dv := &DedupView{
 		MissIdx:   make([][]int64, G),
 		Uniq:      make([][]int64, G),
@@ -473,7 +622,7 @@ func (s *System) classifyNodeDedup(bd *BatchData, dv *DedupView) {
 	cfg := s.Cfg
 	B, G, N := cfg.BatchSize, cfg.GPUs, s.cluster.Nodes
 	per := s.cluster.GPUsPerNode
-	view := bd.Cache
+	view := bd.Plan.Cache
 	dv.NodeUniq = make([][]int64, G)
 	dv.NodeDense = make([][]int64, G)
 	dv.NodeWire = make([][]bool, G)
@@ -579,7 +728,6 @@ func (s *System) ownerScratch(bd *BatchData, src int) ([]*sparse.FeatureBag, []i
 // baseline never awaits the barrier (its collective is already a global
 // synchronisation point); an unawaited barrier is inert.
 func (s *System) attachDedup(bd *BatchData, dv *DedupView) {
-	bd.Dedup = dv
 	if s.Cfg.GPUs <= 1 {
 		return
 	}

@@ -363,19 +363,11 @@ type BatchData struct {
 
 	// Plan is the batch's compiled route plan: the per-(owner, consumer)
 	// routing every backend consults in both timing and functional mode.
-	// Always non-nil once NextBatchData returns; its Cache/Dedup views are
-	// nil when the corresponding feature is off.
+	// Always non-nil once NextBatchData returns; its Cache (hot-row hits)
+	// and Dedup (unique key sets, expansion maps) views are nil when the
+	// corresponding feature is off.
 	Plan *RoutePlan
 
-	// Cache is the batch's hot-row classification (nil when the cache is
-	// disabled): which vectors each backend may skip sending and each
-	// consumer pools locally. Owned by Plan; kept for direct access.
-	Cache *CacheView
-
-	// Dedup is the batch's index-deduplication classification (nil when
-	// Config.Dedup is off): per (owner, consumer) pair, the unique key sets
-	// and inverse-expansion maps.
-	Dedup *DedupView
 	// DedupStage[src][dst] is the consumer-side staging buffer owner src
 	// streams its unique rows into (functional wire pairs only).
 	DedupStage [][][]float32
