@@ -18,9 +18,8 @@ package pgasemb_test
 // benchmark iteration simulates a fixed number of inference batches;
 // sim_ms_per_batch reports the simulated per-batch runtime.
 //
-// The cmd/weakscale, cmd/strongscale and cmd/commtrace binaries produce the
-// same artifacts as rendered tables/charts at the paper's full 100-batch
-// configuration.
+// cmd/report writes the same artifacts as rendered tables/charts at the
+// paper's full 100-batch configuration.
 
 import (
 	"fmt"

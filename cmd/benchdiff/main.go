@@ -16,95 +16,94 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"pgasemb"
+	"pgasemb/internal/cli"
+	"pgasemb/internal/experiments"
 )
 
-func main() {
-	oldPath := flag.String("old", "results/bench.json", "committed baseline bench.json")
-	newPath := flag.String("new", ".bench-tmp/bench.json", "freshly measured bench.json")
-	tolerance := flag.Float64("tolerance", 15, "allowed ns/op growth in percent")
-	flag.Parse()
-	if *tolerance < 0 {
-		fatal(fmt.Errorf("-tolerance must be non-negative, got %g", *tolerance))
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	oldRep, err := load(*oldPath)
-	if err != nil {
-		fatal(err)
-	}
-	newRep, err := load(*newPath)
-	if err != nil {
-		fatal(err)
-	}
-	if len(oldRep.HotPaths) == 0 {
-		fatal(fmt.Errorf("%s records no hot paths (regenerate it with `make bench`)", *oldPath))
-	}
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("benchdiff", stdout, stderr)
+	oldPath := c.String("old", "results/bench.json", "committed baseline bench.json")
+	newPath := c.String("new", ".bench-tmp/bench.json", "freshly measured bench.json")
+	tolerance := c.Float64("tolerance", 15, "allowed ns/op growth in percent")
+	c.NonNegative("tolerance")
+	return c.Run(args, func(context.Context) error {
+		oldRep, err := load(*oldPath)
+		if err != nil {
+			return err
+		}
+		newRep, err := load(*newPath)
+		if err != nil {
+			return err
+		}
+		if len(oldRep.HotPaths) == 0 {
+			return fmt.Errorf("%s records no hot paths (regenerate it with `make bench`)", *oldPath)
+		}
 
-	fresh := make(map[string]pgasemb.HotPathBenchmark, len(newRep.HotPaths))
-	for _, h := range newRep.HotPaths {
-		fresh[h.Name] = h
-	}
-	seen := make(map[string]bool, len(oldRep.HotPaths))
+		fresh := make(map[string]experiments.HotPathBenchmark, len(newRep.HotPaths))
+		for _, h := range newRep.HotPaths {
+			fresh[h.Name] = h
+		}
+		seen := make(map[string]bool, len(oldRep.HotPaths))
 
-	fmt.Printf("%-42s %12s %12s %8s  %s\n", "hot path", "old ns/op", "new ns/op", "delta", "allocs")
-	regressions := 0
-	for _, old := range oldRep.HotPaths {
-		seen[old.Name] = true
-		now, ok := fresh[old.Name]
-		if !ok {
-			fmt.Printf("%-42s %12.0f %12s %8s  FAIL: missing from %s\n",
-				old.Name, old.NsPerOp, "-", "-", *newPath)
-			regressions++
-			continue
+		fmt.Fprintf(stdout, "%-42s %12s %12s %8s  %s\n", "hot path", "old ns/op", "new ns/op", "delta", "allocs")
+		regressions := 0
+		for _, old := range oldRep.HotPaths {
+			seen[old.Name] = true
+			now, ok := fresh[old.Name]
+			if !ok {
+				fmt.Fprintf(stdout, "%-42s %12.0f %12s %8s  FAIL: missing from %s\n",
+					old.Name, old.NsPerOp, "-", "-", *newPath)
+				regressions++
+				continue
+			}
+			deltaPct := 0.0
+			if old.NsPerOp > 0 {
+				deltaPct = (now.NsPerOp - old.NsPerOp) / old.NsPerOp * 100
+			}
+			verdict := "ok"
+			if deltaPct > *tolerance {
+				verdict = fmt.Sprintf("FAIL: ns/op grew %.1f%% (> %g%%)", deltaPct, *tolerance)
+				regressions++
+			}
+			if now.AllocsPerOp > old.AllocsPerOp {
+				verdict = fmt.Sprintf("FAIL: allocs/op %d -> %d", old.AllocsPerOp, now.AllocsPerOp)
+				regressions++
+			}
+			fmt.Fprintf(stdout, "%-42s %12.0f %12.0f %+7.1f%%  %d->%d  %s\n",
+				old.Name, old.NsPerOp, now.NsPerOp, deltaPct, old.AllocsPerOp, now.AllocsPerOp, verdict)
 		}
-		deltaPct := 0.0
-		if old.NsPerOp > 0 {
-			deltaPct = (now.NsPerOp - old.NsPerOp) / old.NsPerOp * 100
+		for _, h := range newRep.HotPaths {
+			if !seen[h.Name] {
+				fmt.Fprintf(stdout, "%-42s %12s %12.0f %8s  new (not in baseline)\n", h.Name, "-", h.NsPerOp, "-")
+			}
 		}
-		verdict := "ok"
-		if deltaPct > *tolerance {
-			verdict = fmt.Sprintf("FAIL: ns/op grew %.1f%% (> %g%%)", deltaPct, *tolerance)
-			regressions++
-		}
-		if now.AllocsPerOp > old.AllocsPerOp {
-			verdict = fmt.Sprintf("FAIL: allocs/op %d -> %d", old.AllocsPerOp, now.AllocsPerOp)
-			regressions++
-		}
-		fmt.Printf("%-42s %12.0f %12.0f %+7.1f%%  %d->%d  %s\n",
-			old.Name, old.NsPerOp, now.NsPerOp, deltaPct, old.AllocsPerOp, now.AllocsPerOp, verdict)
-	}
-	for _, h := range newRep.HotPaths {
-		if !seen[h.Name] {
-			fmt.Printf("%-42s %12s %12.0f %8s  new (not in baseline)\n", h.Name, "-", h.NsPerOp, "-")
-		}
-	}
 
-	if regressions > 0 {
-		fmt.Printf("\nbenchdiff: %d hot-path regression(s) vs %s\n", regressions, *oldPath)
-		os.Exit(1)
-	}
-	fmt.Printf("\nbenchdiff: %d hot paths within %g%% of %s, no alloc regressions\n",
-		len(oldRep.HotPaths), *tolerance, *oldPath)
+		if regressions > 0 {
+			fmt.Fprintln(stdout)
+			return fmt.Errorf("%d hot-path regression(s) vs %s", regressions, *oldPath)
+		}
+		fmt.Fprintf(stdout, "\nbenchdiff: %d hot paths within %g%% of %s, no alloc regressions\n",
+			len(oldRep.HotPaths), *tolerance, *oldPath)
+		return nil
+	})
 }
 
-func load(path string) (*pgasemb.BenchReport, error) {
+func load(path string) (*experiments.BenchReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	rep := &pgasemb.BenchReport{}
+	rep := &experiments.BenchReport{}
 	if err := json.Unmarshal(data, rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return rep, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
 }

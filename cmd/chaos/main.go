@@ -9,11 +9,11 @@
 // Usage:
 //
 //	chaos [-profiles none,flaky-link,straggler] [-replicas 1,2] [-gpus 4]
-//	      [-nodes 0] [-rate 4000] [-duration 1s] [-backend both]
+//	      [-nodes 0] [-rate 4000] [-duration 1s] [-backend baseline,pgas-fused]
 //	      [-parallel N] [-out results] [-timeout 0]
 //
-// -profiles and -replicas take comma-separated sweeps; -duration is
-// SIMULATED time (the arrival window of each point). NIC and proxy-drop
+// -profiles, -replicas and -backend take comma-separated sweeps; -duration
+// is SIMULATED time (the arrival window of each point). NIC and proxy-drop
 // profiles (degraded-nic, lossy-proxy, mixed) need -nodes > 0 to have any
 // effect. Independent points execute concurrently on -parallel workers; the
 // table is byte-identical at any parallelism. -timeout bounds host
@@ -22,120 +22,53 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
-	"pgasemb"
+	"pgasemb/internal/cli"
+	"pgasemb/internal/experiments"
+	"pgasemb/internal/fault"
 )
 
-func main() {
-	profiles := flag.String("profiles", "none,flaky-link,straggler",
-		fmt.Sprintf("comma-separated fault profiles (known: %s)", strings.Join(pgasemb.FaultProfiles(), ", ")))
-	replicas := flag.String("replicas", "1,2", "comma-separated shard replication factors")
-	gpus := flag.Int("gpus", 4, "GPUs in the machine")
-	nodes := flag.Int("nodes", 0, "NVLink islands joined by the NIC fabric (0 = single node)")
-	rate := flag.Float64("rate", 4000, "arrival rate (requests/second)")
-	duration := flag.Duration("duration", time.Second, "simulated arrival window per sweep point")
-	backend := flag.String("backend", "both", "backend to sweep: a registered backend name, pgas (alias for pgas-fused), or both")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent sweep points")
-	out := flag.String("out", "results", "output directory")
-	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
-	flag.Parse()
-	if *parallel <= 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	var backends []pgasemb.Backend
-	switch *backend {
-	case "both":
-		backends = []pgasemb.Backend{pgasemb.NewBaseline(), pgasemb.NewPGASFused()}
-	case "pgas": // alias, matching cmd/serve
-		backends = []pgasemb.Backend{pgasemb.NewPGASFused()}
-	default:
-		be, err := pgasemb.NewBackendByName(*backend)
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("chaos", stdout, stderr)
+	profiles := c.Names("profiles", "none,flaky-link,straggler", "comma-separated fault profiles", fault.Profiles())
+	replicas := c.Ints("replicas", "1,2", "comma-separated shard replication factors")
+	gpus := c.Int("gpus", 4, "GPUs in the machine")
+	nodes := c.Int("nodes", 0, "NVLink islands joined by the NIC fabric (0 = single node)")
+	rate := c.Float64("rate", 4000, "arrival rate (requests/second)")
+	duration := c.Duration("duration", time.Second, "simulated arrival window per sweep point")
+	backends := c.Backends("baseline,pgas-fused")
+	c.Parallel()
+	out := c.Out("results")
+	c.Timeout()
+	c.Positive("gpus", "rate", "duration")
+	c.NonNegative("nodes")
+	return c.Run(args, func(ctx context.Context) error {
+		opts := experiments.ChaosOptions{
+			Profiles: *profiles,
+			Replicas: *replicas,
+			Backends: *backends,
+			GPUs:     *gpus,
+			Nodes:    *nodes,
+			Rate:     *rate,
+			Duration: duration.Seconds(),
+			Parallel: c.Workers(),
+		}
+		fmt.Fprintf(stdout, "== Chaos sweep (%d GPUs, %d nodes, %.0f req/s, %v simulated per point) ==\n",
+			*gpus, *nodes, *rate, *duration)
+		res, err := experiments.RunChaos(ctx, opts)
 		if err != nil {
-			fatal(fmt.Errorf("%w; also accepted: both, pgas", err))
+			return err
 		}
-		backends = []pgasemb.Backend{be}
-	}
-
-	opts := pgasemb.ChaosOptions{
-		Profiles: parseStrings(*profiles, "-profiles"),
-		Replicas: parseInts(*replicas, "-replicas"),
-		Backends: backends,
-		GPUs:     *gpus,
-		Nodes:    *nodes,
-		Rate:     *rate,
-		Duration: duration.Seconds(),
-		Parallel: *parallel,
-	}
-
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("== Chaos sweep (%d GPUs, %d nodes, %.0f req/s, %v simulated per point) ==\n",
-		*gpus, *nodes, *rate, *duration)
-	res, err := pgasemb.RunChaosContext(ctx, opts)
-	if err != nil {
-		fatal(err)
-	}
-	t := res.Table()
-	if err := os.WriteFile(filepath.Join(*out, "chaos.txt"), []byte(t.Render()), 0o644); err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(*out, "chaos.csv"), []byte(t.CSV()), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Println(t.Render())
-	fmt.Printf("artifacts written to %s/\n", *out)
-}
-
-func parseStrings(s, flagName string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
+		if err := c.Table("chaos", res.Table()); err != nil {
+			return err
 		}
-	}
-	if len(out) == 0 {
-		fatal(fmt.Errorf("%s: empty sweep", flagName))
-	}
-	return out
-}
-
-func parseInts(s, flagName string) []int {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", flagName, err))
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		fatal(fmt.Errorf("%s: empty sweep", flagName))
-	}
-	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "chaos:", err)
-	os.Exit(1)
+		fmt.Fprintf(stdout, "artifacts written to %s/\n", *out)
+		return nil
+	})
 }

@@ -1,7 +1,7 @@
 // Command dlrminfer runs the full DLRM inference pipeline (dense MLPs +
 // interaction around the EMB layer) on the simulated machine and reports
-// end-to-end and EMB-segment times for both communication schemes — the
-// "full inference pipeline" measurement context of the paper's §IV.
+// end-to-end and EMB-segment times for each selected communication scheme —
+// the "full inference pipeline" measurement context of the paper's §IV.
 //
 // Usage:
 //
@@ -17,109 +17,89 @@
 // -pipeline sets the inter-batch software-pipelining depth (1 = serial,
 // 2 = double-buffered EMB prefetch overlapping the next batch's exchange
 // with the current batch's dense tail).
-// A failing backend is reported and skipped, the others still run, and the
-// command exits non-zero. -timeout bounds host wall-clock time.
+// A failing backend is skipped, the others still run, and the command
+// reports the failure and exits non-zero. -timeout bounds host wall-clock time.
 package main
 
 import (
 	"context"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
-	"pgasemb"
+	"pgasemb/internal/cli"
+	"pgasemb/internal/dlrm"
+	"pgasemb/internal/retrieval"
 )
 
-func main() {
-	gpus := flag.Int("gpus", 4, "GPU count")
-	kind := flag.String("kind", "weak", "workload: weak or strong scaling configuration")
-	batches := flag.Int("batches", 20, "inference batches")
-	dedup := flag.Bool("dedup", false, "enable batch-level index deduplication")
-	backendNames := flag.String("backend", "baseline,pgas-fused", "comma-separated registered backend names to run")
-	seed := flag.Uint64("seed", 0, "workload seed (0 = configuration default)")
-	pipeline := flag.Int("pipeline", 1, "inter-batch pipeline depth (1 = serial, 2 = double buffering)")
-	precision := flag.String("precision", "fp32", "wire transport format for embedding rows: fp32, fp16 or int8")
-	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	prec, err := pgasemb.ParsePrecision(*precision)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dlrminfer: %v\n", err)
-		os.Exit(2)
-	}
-
-	var backends []pgasemb.Backend
-	for _, name := range strings.Split(*backendNames, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("dlrminfer", stdout, stderr)
+	gpus := c.Int("gpus", 4, "GPU count")
+	kind := c.String("kind", "weak", "workload: weak or strong scaling configuration")
+	batches := c.Int("batches", 20, "inference batches")
+	dedup := c.Bool("dedup", false, "enable batch-level index deduplication")
+	backends := c.Backends("baseline,pgas-fused")
+	seed := c.Uint64("seed", 0, "workload seed (0 = configuration default)")
+	pipeline := c.Int("pipeline", 1, "inter-batch pipeline depth (1 = serial, 2 = double buffering)")
+	prec := c.Precision("wire transport format for embedding rows: fp32, fp16 or int8")
+	c.Timeout()
+	c.Positive("gpus", "batches", "pipeline")
+	c.Check(func() error {
+		if *kind != "weak" && *kind != "strong" {
+			return errors.New("-kind must be weak or strong")
 		}
-		be, err := pgasemb.NewBackendByName(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dlrminfer: %v\n", err)
-			os.Exit(2)
+		return nil
+	})
+	return c.Run(args, func(ctx context.Context) error {
+		cfg := retrieval.WeakScalingConfig(*gpus)
+		if *kind == "strong" {
+			cfg = retrieval.StrongScalingConfig(*gpus)
 		}
-		backends = append(backends, be)
-	}
-	if len(backends) == 0 {
-		fmt.Fprintln(os.Stderr, "dlrminfer: -backend selected no backends")
-		os.Exit(2)
-	}
+		cfg.Batches = *batches
+		cfg.Dedup = *dedup
+		cfg.PipelineDepth = *pipeline
+		cfg.WirePrecision = *prec
+		if *seed != 0 {
+			cfg.Seed = *seed
+		}
 
-	var cfg pgasemb.Config
-	switch *kind {
-	case "weak":
-		cfg = pgasemb.WeakScalingConfig(*gpus)
-	case "strong":
-		cfg = pgasemb.StrongScalingConfig(*gpus)
-	default:
-		fmt.Fprintln(os.Stderr, "dlrminfer: -kind must be weak or strong")
-		os.Exit(2)
-	}
-	cfg.Batches = *batches
-	cfg.Dedup = *dedup
-	cfg.PipelineDepth = *pipeline
-	cfg.WirePrecision = prec
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	fmt.Printf("DLRM inference: %s scaling, %d GPUs, %d tables, batch %d, %d batches, pipeline depth %d, wire %s, seed %d\n\n",
-		*kind, *gpus, cfg.TotalTables, cfg.BatchSize, cfg.Batches, cfg.PipelineSlots(), prec, cfg.Seed)
-	fmt.Printf("%-12s  %-14s  %-14s  %-10s\n", "backend", "total", "EMB segment", "EMB share")
-	results := make(map[string]*pgasemb.PipelineResult)
-	failed := false
-	for _, backend := range backends {
-		pl, err := pgasemb.NewPipeline(cfg, pgasemb.DefaultHardware(), backend)
-		if err == nil {
-			var res *pgasemb.PipelineResult
-			res, err = pl.RunContext(ctx)
-			if err == nil {
-				results[backend.Name()] = res
-				fmt.Printf("%-12s  %12.2fms  %12.2fms  %9.1f%%\n",
-					backend.Name(), res.TotalTime*1e3, res.EMBTime*1e3, 100*res.EMBTime/res.TotalTime)
+		fmt.Fprintf(stdout, "DLRM inference: %s scaling, %d GPUs, %d tables, batch %d, %d batches, pipeline depth %d, wire %s, seed %d\n\n",
+			*kind, *gpus, cfg.TotalTables, cfg.BatchSize, cfg.Batches, cfg.PipelineSlots(), *prec, cfg.Seed)
+		fmt.Fprintf(stdout, "%-12s  %-14s  %-14s  %-10s\n", "backend", "total", "EMB segment", "EMB share")
+		results := make(map[string]*dlrm.PipelineResult)
+		var errs []error
+		for _, name := range *backends {
+			res, err := runPipeline(ctx, cfg, name)
+			if err != nil {
+				// Keep going: the other backends' numbers are still worth
+				// printing, but the run as a whole must fail.
+				errs = append(errs, fmt.Errorf("%s: %w", name, err))
 				continue
 			}
+			results[name] = res
+			fmt.Fprintf(stdout, "%-12s  %12.2fms  %12.2fms  %9.1f%%\n",
+				name, res.TotalTime*1e3, res.EMBTime*1e3, 100*res.EMBTime/res.TotalTime)
 		}
-		// Keep going: the other backend's numbers are still worth printing,
-		// but the run as a whole must fail.
-		failed = true
-		fmt.Fprintf(os.Stderr, "dlrminfer: %s: %v\n", backend.Name(), err)
+		base, pgas := results["baseline"], results["pgas-fused"]
+		if base != nil && pgas != nil {
+			fmt.Fprintf(stdout, "\nPGAS fused over baseline: %.2fx end-to-end, %.2fx on the EMB segment\n",
+				base.TotalTime/pgas.TotalTime, base.EMBTime/pgas.EMBTime)
+		}
+		return errors.Join(errs...)
+	})
+}
+
+func runPipeline(ctx context.Context, cfg retrieval.Config, name string) (*dlrm.PipelineResult, error) {
+	backend, err := retrieval.NewBackendByName(name)
+	if err != nil {
+		return nil, err
 	}
-	base, pgas := results["baseline"], results["pgas-fused"]
-	if base != nil && pgas != nil {
-		fmt.Printf("\nPGAS fused over baseline: %.2fx end-to-end, %.2fx on the EMB segment\n",
-			base.TotalTime/pgas.TotalTime, base.EMBTime/pgas.EMBTime)
+	pl, err := dlrm.NewPipeline(cfg, retrieval.DefaultHardware(), backend)
+	if err != nil {
+		return nil, err
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return pl.RunContext(ctx)
 }

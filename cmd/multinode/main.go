@@ -6,72 +6,64 @@
 //
 // Usage:
 //
-//	multinode [-nodes 4] [-gpus-per-node 4] [-batches 20]
-//	          [-backend pgas-fused] [-precision fp32] [-csv] [-timeout 0]
+//	multinode [-nodes 4] [-gpus-per-node 4] [-batches 0] [-batchsize 0]
+//	          [-backend pgas-fused] [-precision fp32] [-parallel N] [-csv]
+//	          [-timeout 0]
 //
-// -backend swaps the accelerated column's backend for any registered name
-// (e.g. hybrid); the baseline column always runs for comparison.
+// -backend swaps the accelerated column's backend for any one registered
+// name (e.g. hybrid); the baseline column always runs for comparison.
 package main
 
 import (
 	"context"
-	"flag"
-	"fmt"
+	"io"
 	"os"
 
-	"pgasemb"
+	"pgasemb/internal/cli"
+	"pgasemb/internal/experiments"
 )
 
-func main() {
-	nodes := flag.Int("nodes", 4, "largest node count in the sweep")
-	gpusPerNode := flag.Int("gpus-per-node", 4, "GPUs per node")
-	batches := flag.Int("batches", 0, "inference batches per run (0 = configuration default)")
-	batchSize := flag.Int("batchsize", 0, "global batch size (0 = configuration default)")
-	parallel := flag.Int("parallel", 0, "concurrent simulation runs (0 = GOMAXPROCS); results are identical for every value")
-	backend := flag.String("backend", "pgas-fused", "registered backend for the accelerated column (baseline always runs for comparison)")
-	precision := flag.String("precision", "fp32", "wire transport format for embedding rows: fp32, fp16 or int8 (both columns)")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if _, err := pgasemb.NewBackendByName(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "multinode:", err)
-		os.Exit(2)
-	}
-	prec, err := pgasemb.ParsePrecision(*precision)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "multinode:", err)
-		os.Exit(2)
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	opts := pgasemb.MultiNodeOptions{
-		MaxNodes:      *nodes,
-		GPUsPerNode:   *gpusPerNode,
-		Batches:       *batches,
-		BatchSize:     *batchSize,
-		Backend:       *backend,
-		WirePrecision: prec,
-		Parallel:      *parallel,
-	}
-	var tables []*pgasemb.RenderedTable
-	for _, kind := range []pgasemb.ScalingKind{pgasemb.WeakScaling, pgasemb.StrongScaling} {
-		res, err := pgasemb.RunMultiNodeContext(ctx, kind, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "multinode:", err)
-			os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("multinode", stdout, stderr)
+	nodes := c.Int("nodes", 4, "largest node count in the sweep")
+	gpusPerNode := c.Int("gpus-per-node", 4, "GPUs per node")
+	batches := c.Int("batches", 0, "inference batches per run (0 = configuration default)")
+	batchSize := c.Int("batchsize", 0, "global batch size (0 = configuration default)")
+	backend := c.Backend("pgas-fused")
+	prec := c.Precision("wire transport format for embedding rows, both columns: fp32, fp16 or int8")
+	c.Parallel()
+	c.CSV()
+	c.Timeout()
+	c.Positive("nodes", "gpus-per-node")
+	c.NonNegative("batches", "batchsize")
+	return c.Run(args, func(ctx context.Context) error {
+		opts := experiments.MultiNodeOptions{
+			MaxNodes:      *nodes,
+			GPUsPerNode:   *gpusPerNode,
+			Batches:       *batches,
+			BatchSize:     *batchSize,
+			Backend:       *backend,
+			WirePrecision: *prec,
+			Parallel:      c.Workers(),
 		}
-		tables = append(tables, res.ScalingTable(), res.CommTable())
-	}
-	for _, t := range tables {
-		if *csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t.Render())
+		var results []*experiments.MultiNodeResult
+		for _, kind := range []experiments.ScalingKind{experiments.WeakScaling, experiments.StrongScaling} {
+			res, err := experiments.RunMultiNode(ctx, kind, opts)
+			if err != nil {
+				return err
+			}
+			results = append(results, res)
 		}
-	}
+		for _, res := range results {
+			if err := c.Table("", res.ScalingTable()); err != nil {
+				return err
+			}
+			if err := c.Table("", res.CommTable()); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }

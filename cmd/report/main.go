@@ -12,7 +12,7 @@
 // -dedup adds the batch-level index-deduplication axis to the scaling
 // sweeps (each backend runs with dedup off and on; the tables grow the
 // dedup columns). -backend swaps the accelerated column's backend for any
-// registered name (e.g. hybrid); the baseline column always runs for
+// one registered name (e.g. hybrid); the baseline column always runs for
 // comparison. -bench additionally measures the per-batch retrieval hot
 // paths with Go benchmarks and records them in bench.json.
 //
@@ -22,158 +22,161 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 
-	"pgasemb"
+	"pgasemb/internal/cli"
+	"pgasemb/internal/experiments"
 )
 
-func main() {
-	out := flag.String("out", "results", "output directory")
-	batches := flag.Int("batches", 100, "batches per run (paper: 100)")
-	seeds := flag.Int("seeds", 3, "workload seeds for the statistics tables (0 = skip)")
-	dedup := flag.Bool("dedup", false, "add the index-deduplication axis to the scaling sweeps")
-	backend := flag.String("backend", "pgas-fused", "registered backend for the accelerated column (baseline always runs for comparison)")
-	benchHot := flag.Bool("bench", false, "measure the per-batch hot paths and record them in bench.json")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs per experiment")
-	timeout := flag.Duration("timeout", 0, "abort the whole report after this duration (0 = no limit)")
-	flag.Parse()
-	if *parallel <= 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
-	if _, err := pgasemb.NewBackendByName(*backend); err != nil {
-		fatal(err)
-	}
-	bench := pgasemb.NewBench()
-	opts := pgasemb.ExperimentOptions{Batches: *batches, Backend: *backend, Dedup: *dedup, Parallel: *parallel, Bench: bench}
-
-	write := func(name string, t *pgasemb.RenderedTable) {
-		if err := os.WriteFile(filepath.Join(*out, name+".txt"), []byte(t.Render()), 0o644); err != nil {
-			fatal(err)
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("report", stdout, stderr)
+	out := c.Out("results")
+	batches := c.Int("batches", 100, "batches per run (paper: 100)")
+	seeds := c.Int("seeds", 3, "workload seeds for the statistics tables (0 = skip)")
+	dedup := c.Bool("dedup", false, "add the index-deduplication axis to the scaling sweeps")
+	backend := c.Backend("pgas-fused")
+	benchHot := c.Bool("bench", false, "measure the per-batch hot paths and record them in bench.json")
+	c.Parallel()
+	c.Timeout()
+	c.Positive("batches")
+	c.NonNegative("seeds")
+	c.Check(func() error {
+		if *out == "" {
+			return errors.New("-out must name a directory")
 		}
-		if err := os.WriteFile(filepath.Join(*out, name+".csv"), []byte(t.CSV()), 0o644); err != nil {
-			fatal(err)
+		return nil
+	})
+	return c.Run(args, func(ctx context.Context) error {
+		bench := experiments.NewBench()
+		opts := experiments.Options{Batches: *batches, Backend: *backend, Dedup: *dedup, Parallel: c.Workers(), Bench: bench}
+
+		fmt.Fprintln(stdout, "== Weak scaling (Table 1, Figures 5-6) ==")
+		weak, err := experiments.RunScaling(ctx, experiments.WeakScaling, opts)
+		if err != nil {
+			return err
 		}
-		fmt.Println(t.Render())
-	}
+		if err := write(c,
+			artifact{"table1_weak_speedups", weak.SpeedupTable()},
+			artifact{"fig5_weak_factors", weak.FactorTable()},
+			artifact{"fig6_weak_breakdown", weak.BreakdownTable()}); err != nil {
+			return err
+		}
 
-	fmt.Println("== Weak scaling (Table 1, Figures 5-6) ==")
-	weak, err := pgasemb.RunScalingContext(ctx, pgasemb.WeakScaling, opts)
-	if err != nil {
-		fatal(err)
-	}
-	write("table1_weak_speedups", weak.SpeedupTable())
-	write("fig5_weak_factors", weak.FactorTable())
-	write("fig6_weak_breakdown", weak.BreakdownTable())
+		fmt.Fprintln(stdout, "== Strong scaling (Table 2, Figures 8-9) ==")
+		strong, err := experiments.RunScaling(ctx, experiments.StrongScaling, opts)
+		if err != nil {
+			return err
+		}
+		if err := write(c,
+			artifact{"table2_strong_speedups", strong.SpeedupTable()},
+			artifact{"fig8_strong_factors", strong.FactorTable()},
+			artifact{"fig9_strong_breakdown", strong.BreakdownTable()}); err != nil {
+			return err
+		}
 
-	fmt.Println("== Strong scaling (Table 2, Figures 8-9) ==")
-	strong, err := pgasemb.RunScalingContext(ctx, pgasemb.StrongScaling, opts)
-	if err != nil {
-		fatal(err)
-	}
-	write("table2_strong_speedups", strong.SpeedupTable())
-	write("fig8_strong_factors", strong.FactorTable())
-	write("fig9_strong_breakdown", strong.BreakdownTable())
+		fmt.Fprintln(stdout, "== Reproduction scorecard ==")
+		if err := c.Table("scorecard", experiments.Scorecard(weak, strong)); err != nil {
+			return err
+		}
 
-	fmt.Println("== Reproduction scorecard ==")
-	write("scorecard", pgasemb.Scorecard(weak, strong))
-
-	fmt.Println("== Communication volume over time (Figures 7, 10) ==")
-	traceBatches := 3
-	if *batches < traceBatches {
-		traceBatches = *batches
-	}
-	traceOpts := opts
-	traceOpts.Batches = traceBatches
-	fig7, err := pgasemb.RunCommVolumeContext(ctx, pgasemb.WeakScaling, 2, 120, traceOpts)
-	if err != nil {
-		fatal(err)
-	}
-	write("fig7_comm_volume_2gpu", fig7.CSVTable())
-	if err := os.WriteFile(filepath.Join(*out, "fig7_comm_volume_2gpu_chart.txt"),
-		[]byte(fig7.CommVolumeCharts(10)), 0o644); err != nil {
-		fatal(err)
-	}
-	fig10, err := pgasemb.RunCommVolumeContext(ctx, pgasemb.StrongScaling, 4, 120, traceOpts)
-	if err != nil {
-		fatal(err)
-	}
-	write("fig10_comm_volume_4gpu", fig10.CSVTable())
-	if err := os.WriteFile(filepath.Join(*out, "fig10_comm_volume_4gpu_chart.txt"),
-		[]byte(fig10.CommVolumeCharts(10)), 0o644); err != nil {
-		fatal(err)
-	}
-
-	fmt.Println("== Mechanism ablations ==")
-	ab, err := pgasemb.RunAblationsContext(ctx, 4, opts)
-	if err != nil {
-		fatal(err)
-	}
-	write("ablations", pgasemb.AblationTable(ab))
-
-	fmt.Println("== Inter-batch pipelining ==")
-	pd, err := pgasemb.RunPipelineDepthContext(ctx, 4, []int{1, 2}, opts)
-	if err != nil {
-		fatal(err)
-	}
-	write("pipeline_depth", pgasemb.PipelineDepthTable(pd))
-
-	if *seeds > 0 {
-		fmt.Println("== Multi-seed statistics ==")
-		for _, kind := range []pgasemb.ScalingKind{pgasemb.WeakScaling, pgasemb.StrongScaling} {
-			stats, err := pgasemb.RunScalingStatsContext(ctx, kind, *seeds, opts)
+		fmt.Fprintln(stdout, "== Communication volume over time (Figures 7, 10) ==")
+		traceOpts := opts
+		traceOpts.Batches = min(*batches, 3)
+		for _, fig := range []struct {
+			name string
+			kind experiments.ScalingKind
+			gpus int
+		}{
+			{"fig7_comm_volume_2gpu", experiments.WeakScaling, 2},
+			{"fig10_comm_volume_4gpu", experiments.StrongScaling, 4},
+		} {
+			cv, err := experiments.RunCommVolume(ctx, fig.kind, fig.gpus, 120, traceOpts)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			write(fmt.Sprintf("stats_%s", kind), pgasemb.StatsTable(kind, stats))
+			if err := c.Table(fig.name, cv.CSVTable()); err != nil {
+				return err
+			}
+			if err := c.WriteFile(fig.name+"_chart.txt", []byte(cv.CommVolumeCharts(10))); err != nil {
+				return err
+			}
 		}
-	}
 
-	if *benchHot {
-		fmt.Println("== Hot-path benchmarks ==")
-		if err := pgasemb.RunHotPaths(bench); err != nil {
-			fatal(err)
+		fmt.Fprintln(stdout, "== Mechanism ablations ==")
+		ab, err := experiments.RunAblations(ctx, 4, opts)
+		if err != nil {
+			return err
 		}
-		for _, h := range bench.Report().HotPaths {
-			fmt.Printf("%-36s %10.0f ns/op  %6d B/op  %4d allocs/op\n",
-				h.Name, h.NsPerOp, h.BytesPerOp, h.AllocsPerOp)
+		if err := c.Table("ablations", experiments.AblationTable(ab)); err != nil {
+			return err
 		}
-	}
 
-	benchPath := filepath.Join(*out, "bench.json")
-	bf, err := os.Create(benchPath)
-	if err != nil {
-		fatal(err)
-	}
-	if err := bench.WriteJSON(bf); err != nil {
-		fatal(err)
-	}
-	if err := bf.Close(); err != nil {
-		fatal(err)
-	}
-	rep := bench.Report()
-	fmt.Printf("host timing: %.1fs wall, %.1fs of simulation across %d workers (%s)\n",
-		rep.TotalWallSeconds, rep.TotalRunSeconds, *parallel, benchPath)
+		fmt.Fprintln(stdout, "== Inter-batch pipelining ==")
+		pd, err := experiments.RunPipelineDepth(ctx, 4, []int{1, 2}, opts)
+		if err != nil {
+			return err
+		}
+		if err := c.Table("pipeline_depth", experiments.PipelineDepthTable(pd)); err != nil {
+			return err
+		}
 
-	fmt.Printf("artifacts written to %s/\n", *out)
+		if *seeds > 0 {
+			fmt.Fprintln(stdout, "== Multi-seed statistics ==")
+			for _, kind := range []experiments.ScalingKind{experiments.WeakScaling, experiments.StrongScaling} {
+				stats, err := experiments.RunScalingStats(ctx, kind, *seeds, opts)
+				if err != nil {
+					return err
+				}
+				if err := c.Table(fmt.Sprintf("stats_%s", kind), experiments.StatsTable(kind, stats)); err != nil {
+					return err
+				}
+			}
+		}
+
+		if *benchHot {
+			fmt.Fprintln(stdout, "== Hot-path benchmarks ==")
+			if err := experiments.RunHotPaths(bench); err != nil {
+				return err
+			}
+			for _, h := range bench.Report().HotPaths {
+				fmt.Fprintf(stdout, "%-36s %10.0f ns/op  %6d B/op  %4d allocs/op\n",
+					h.Name, h.NsPerOp, h.BytesPerOp, h.AllocsPerOp)
+			}
+		}
+
+		var js bytes.Buffer
+		if err := bench.WriteJSON(&js); err != nil {
+			return err
+		}
+		if err := c.WriteFile("bench.json", js.Bytes()); err != nil {
+			return err
+		}
+		rep := bench.Report()
+		fmt.Fprintf(stdout, "host timing: %.1fs wall, %.1fs of simulation across %d workers (%s)\n",
+			rep.TotalWallSeconds, rep.TotalRunSeconds, c.Workers(), filepath.Join(*out, "bench.json"))
+		fmt.Fprintf(stdout, "artifacts written to %s/\n", *out)
+		return nil
+	})
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "report:", err)
-	os.Exit(1)
+type artifact struct {
+	name  string
+	table *experiments.Table
+}
+
+func write(c *cli.Command, arts ...artifact) error {
+	for _, a := range arts {
+		if err := c.Table(a.name, a.table); err != nil {
+			return err
+		}
+	}
+	return nil
 }

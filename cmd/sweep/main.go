@@ -17,20 +17,22 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"pgasemb"
+	"pgasemb/internal/cli"
+	"pgasemb/internal/dlrm"
+	"pgasemb/internal/retrieval"
 )
 
 type point struct {
 	label string
-	cfg   pgasemb.Config
+	cfg   retrieval.Config
 }
 
 func sweepPoints(axis string, gpus int) ([]point, error) {
-	base := pgasemb.WeakScalingConfig(gpus)
+	base := retrieval.WeakScalingConfig(gpus)
 	var pts []point
 	switch axis {
 	case "batch":
@@ -69,7 +71,7 @@ func sweepPoints(axis string, gpus int) ([]point, error) {
 		for _, hot := range []float64{0, 0.0625, 0.125, 0.25} {
 			cfg := base
 			if hot > 0 {
-				cfg.PerFeatureMaxPooling = pgasemb.SkewedPooling(cfg.TotalTables, hot, 256, 16)
+				cfg.PerFeatureMaxPooling = retrieval.SkewedPooling(cfg.TotalTables, hot, 256, 16)
 			}
 			pts = append(pts, point{fmt.Sprintf("hot=%.0f%%", hot*100), cfg})
 			cfgG := cfg
@@ -77,7 +79,7 @@ func sweepPoints(axis string, gpus int) ([]point, error) {
 			pts = append(pts, point{fmt.Sprintf("hot=%.0f%%+greedy", hot*100), cfgG})
 		}
 	case "criteo":
-		cfg := pgasemb.CriteoShapedConfig(gpus)
+		cfg := retrieval.CriteoShapedConfig(gpus)
 		pts = append(pts, point{"criteo-shaped", cfg})
 		pts = append(pts, point{"paper-weak", base})
 	case "pipeline":
@@ -92,70 +94,70 @@ func sweepPoints(axis string, gpus int) ([]point, error) {
 	return pts, nil
 }
 
-func main() {
-	axis := flag.String("axis", "batch", "sweep axis: batch, pooling, dim, tables, chunks, skew, criteo or pipeline")
-	gpus := flag.Int("gpus", 4, "GPU count")
-	batches := flag.Int("batches", 10, "inference batches per run")
-	csv := flag.Bool("csv", false, "emit CSV")
-	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	pts, err := sweepPoints(*axis, *gpus)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	if *csv {
-		fmt.Println("point,baseline_s,pgas_s,speedup")
-	} else {
-		fmt.Printf("%-16s  %-12s  %-12s  %-8s\n", "point", "baseline", "pgas-fused", "speedup")
-	}
-	for _, pt := range pts {
-		cfg := pt.cfg
-		cfg.Batches = *batches
-		var times []float64
-		for _, backend := range []pgasemb.Backend{pgasemb.NewBaseline(), pgasemb.NewPGASFused()} {
-			var total float64
-			if *axis == "pipeline" {
-				// The pipelining win only exists against dense compute, so
-				// this axis times the full DLRM pipeline.
-				pl, err := pgasemb.NewPipeline(cfg, pgasemb.DefaultHardware(), backend)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "sweep: %s: %v\n", pt.label, err)
-					os.Exit(1)
-				}
-				res, err := pl.RunContext(ctx)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "sweep: %s: %v\n", pt.label, err)
-					os.Exit(1)
-				}
-				total = float64(res.TotalTime)
-			} else {
-				sys, err := pgasemb.NewSystem(cfg, pgasemb.DefaultHardware())
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "sweep: %s: %v\n", pt.label, err)
-					os.Exit(1)
-				}
-				res, err := sys.RunContext(ctx, backend)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "sweep: %s: %v\n", pt.label, err)
-					os.Exit(1)
-				}
-				total = res.TotalTime
-			}
-			times = append(times, total)
-		}
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("sweep", stdout, stderr)
+	axis := c.String("axis", "batch", "sweep axis: batch, pooling, dim, tables, chunks, skew, criteo or pipeline")
+	gpus := c.Int("gpus", 4, "GPU count")
+	batches := c.Int("batches", 10, "inference batches per run")
+	csv := c.CSV()
+	c.Timeout()
+	c.Positive("gpus", "batches")
+	var pts []point
+	c.Check(func() (err error) {
+		pts, err = sweepPoints(*axis, *gpus)
+		return err
+	})
+	return c.Run(args, func(ctx context.Context) error {
 		if *csv {
-			fmt.Printf("%s,%.6f,%.6f,%.3f\n", pt.label, times[0], times[1], times[0]/times[1])
+			fmt.Fprintln(stdout, "point,baseline_s,pgas_s,speedup")
 		} else {
-			fmt.Printf("%-16s  %10.2fms  %10.2fms  %7.2fx\n",
-				pt.label, times[0]*1e3, times[1]*1e3, times[0]/times[1])
+			fmt.Fprintf(stdout, "%-16s  %-12s  %-12s  %-8s\n", "point", "baseline", "pgas-fused", "speedup")
 		}
+		for _, pt := range pts {
+			cfg := pt.cfg
+			cfg.Batches = *batches
+			var times [2]float64
+			for i, backend := range []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}} {
+				var err error
+				if times[i], err = runPoint(ctx, *axis, cfg, backend); err != nil {
+					return fmt.Errorf("%s: %w", pt.label, err)
+				}
+			}
+			if *csv {
+				fmt.Fprintf(stdout, "%s,%.6f,%.6f,%.3f\n", pt.label, times[0], times[1], times[0]/times[1])
+			} else {
+				fmt.Fprintf(stdout, "%-16s  %10.2fms  %10.2fms  %7.2fx\n",
+					pt.label, times[0]*1e3, times[1]*1e3, times[0]/times[1])
+			}
+		}
+		return nil
+	})
+}
+
+// runPoint returns one backend's total simulated time at one sweep point.
+func runPoint(ctx context.Context, axis string, cfg retrieval.Config, backend retrieval.Backend) (float64, error) {
+	if axis == "pipeline" {
+		// The pipelining win only exists against dense compute, so this
+		// axis times the full DLRM pipeline.
+		pl, err := dlrm.NewPipeline(cfg, retrieval.DefaultHardware(), backend)
+		if err != nil {
+			return 0, err
+		}
+		res, err := pl.RunContext(ctx)
+		if err != nil {
+			return 0, err
+		}
+		return float64(res.TotalTime), nil
 	}
+	sys, err := retrieval.NewSystem(cfg, retrieval.DefaultHardware())
+	if err != nil {
+		return 0, err
+	}
+	res, err := sys.RunContext(ctx, backend)
+	if err != nil {
+		return 0, err
+	}
+	return res.TotalTime, nil
 }

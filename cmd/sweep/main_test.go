@@ -1,9 +1,15 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"pgasemb/internal/cli/clitest"
+)
+
+func TestBadFlags(t *testing.T) { clitest.Check(t, "sweep", run) }
 
 func TestSweepPointsAxes(t *testing.T) {
-	for _, axis := range []string{"batch", "pooling", "dim", "tables", "chunks", "skew", "criteo"} {
+	for _, axis := range []string{"batch", "pooling", "dim", "tables", "chunks", "skew", "criteo", "pipeline"} {
 		pts, err := sweepPoints(axis, 4)
 		if err != nil {
 			t.Fatalf("axis %q: %v", axis, err)

@@ -10,57 +10,55 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"pgasemb"
+	"pgasemb/internal/cli"
+	"pgasemb/internal/dlrm"
+	"pgasemb/internal/retrieval"
 )
 
-func main() {
-	gpus := flag.Int("gpus", 4, "GPU count")
-	batches := flag.Int("batches", 10, "training steps")
-	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("trainstep", stdout, stderr)
+	gpus := c.Int("gpus", 4, "GPU count")
+	batches := c.Int("batches", 10, "training steps")
+	c.Timeout()
+	c.Positive("gpus", "batches")
+	return c.Run(args, func(ctx context.Context) error {
+		cfg := retrieval.WeakScalingConfig(*gpus)
+		cfg.Batches = *batches
 
-	cfg := pgasemb.WeakScalingConfig(*gpus)
-	cfg.Batches = *batches
-
-	combos := []struct {
-		name     string
-		fwd, bwd pgasemb.Backend
-	}{
-		{"collective fwd + collective bwd", pgasemb.NewBaseline(), pgasemb.NewBackwardBaseline()},
-		{"PGAS fwd + collective bwd", pgasemb.NewPGASFused(), pgasemb.NewBackwardBaseline()},
-		{"collective fwd + PGAS bwd", pgasemb.NewBaseline(), pgasemb.NewBackwardPGAS()},
-		{"PGAS fwd + PGAS bwd", pgasemb.NewPGASFused(), pgasemb.NewBackwardPGAS()},
-	}
-	fmt.Printf("DLRM training steps: %d GPUs, %d tables, batch %d, %d steps\n\n",
-		*gpus, cfg.TotalTables, cfg.BatchSize, cfg.Batches)
-	fmt.Printf("%-34s %-12s %-12s %-12s\n", "configuration", "total", "EMB fwd", "EMB bwd")
-	var first float64
-	for i, c := range combos {
-		tr, err := pgasemb.NewTrainer(cfg, pgasemb.DefaultHardware(), c.fwd, c.bwd)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trainstep:", err)
-			os.Exit(1)
+		combos := []struct {
+			name     string
+			fwd, bwd retrieval.Backend
+		}{
+			{"collective fwd + collective bwd", &retrieval.Baseline{}, &retrieval.BackwardBaseline{}},
+			{"PGAS fwd + collective bwd", &retrieval.PGASFused{}, &retrieval.BackwardBaseline{}},
+			{"collective fwd + PGAS bwd", &retrieval.Baseline{}, &retrieval.BackwardPGAS{}},
+			{"PGAS fwd + PGAS bwd", &retrieval.PGASFused{}, &retrieval.BackwardPGAS{}},
 		}
-		res, err := tr.RunContext(ctx)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trainstep:", err)
-			os.Exit(1)
+		fmt.Fprintf(stdout, "DLRM training steps: %d GPUs, %d tables, batch %d, %d steps\n\n",
+			*gpus, cfg.TotalTables, cfg.BatchSize, cfg.Batches)
+		fmt.Fprintf(stdout, "%-34s %-12s %-12s %-12s\n", "configuration", "total", "EMB fwd", "EMB bwd")
+		var first float64
+		for i, combo := range combos {
+			tr, err := dlrm.NewTrainer(cfg, retrieval.DefaultHardware(), combo.fwd, combo.bwd)
+			if err != nil {
+				return err
+			}
+			res, err := tr.RunContext(ctx)
+			if err != nil {
+				return err
+			}
+			if i == 0 {
+				first = res.TotalTime
+			}
+			fmt.Fprintf(stdout, "%-34s %10.2fms %10.2fms %10.2fms  (%.2fx)\n",
+				combo.name, res.TotalTime*1e3, res.EMBForward*1e3, res.EMBBackward*1e3, first/res.TotalTime)
 		}
-		if i == 0 {
-			first = res.TotalTime
-		}
-		fmt.Printf("%-34s %10.2fms %10.2fms %10.2fms  (%.2fx)\n",
-			c.name, res.TotalTime*1e3, res.EMBForward*1e3, res.EMBBackward*1e3, first/res.TotalTime)
-	}
+		return nil
+	})
 }

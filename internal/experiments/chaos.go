@@ -21,8 +21,9 @@ type ChaosOptions struct {
 	Profiles []string
 	// Replicas are the shard replication factors to sweep (default {1, 2}).
 	Replicas []int
-	// Backends defaults to baseline and pgas-fused.
-	Backends []retrieval.Backend
+	// Backends names the registered backends to sweep, each resolved to a
+	// fresh instance per point (default baseline and pgas-fused).
+	Backends []string
 	// GPUs sizes the machine (default 4). Ignored when Base is set.
 	GPUs int
 	// Nodes composes the machine from NVLink islands joined by the NIC
@@ -77,13 +78,6 @@ func (o ChaosOptions) replicas() []int {
 		return o.Replicas
 	}
 	return []int{1, 2}
-}
-
-func (o ChaosOptions) backends() []retrieval.Backend {
-	if len(o.Backends) > 0 {
-		return o.Backends
-	}
-	return []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}}
 }
 
 func (o ChaosOptions) base() retrieval.Config {
@@ -153,19 +147,14 @@ type ChaosResult struct {
 	Points   []ChaosPoint
 }
 
-// RunChaos executes the resilience sweep.
-func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
-	return RunChaosContext(context.Background(), opts)
-}
-
-// RunChaosContext is RunChaos with cancellation. Every grid point owns its
-// server, so points are independent and dispatch freely onto the worker
-// pool; results land in an index-addressed slice, byte-identical at any
+// RunChaos executes the resilience sweep. Every grid point owns its server,
+// so points are independent and dispatch freely onto the worker pool;
+// results land in an index-addressed slice, byte-identical at any
 // parallelism.
-func RunChaosContext(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
+func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 	profiles := opts.profiles()
 	replicas := opts.replicas()
-	backends := opts.backends()
+	backends := sweepBackends(opts.Backends)
 	base := opts.base()
 	hw := opts.hardware()
 	for _, r := range replicas {
@@ -181,7 +170,10 @@ func RunChaosContext(ctx context.Context, opts ChaosOptions) (*ChaosResult, erro
 		ri := i % len(replicas)
 		pi := i / len(replicas) % len(profiles)
 		bi := i / (len(replicas) * len(profiles))
-		backend := backends[bi]
+		backend, err := retrieval.NewBackendByName(backends[bi])
+		if err != nil {
+			return fmt.Errorf("experiments: chaos sweep: %w", err)
+		}
 		profile := profiles[pi]
 
 		cfg := base

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"pgasemb/internal/retrieval"
 	"pgasemb/internal/serve"
 	"pgasemb/internal/sim"
 )
@@ -18,12 +17,12 @@ func TestScalingDedupAxisDeterministicAcrossParallelism(t *testing.T) {
 	opts := fastOpts(1)
 	opts.Dedup = true
 	opts.BatchSize = 96
-	serial, err := RunScalingContext(context.Background(), WeakScaling, opts)
+	serial, err := RunScaling(context.Background(), WeakScaling, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parallel = 6
-	parallel, err := RunScalingContext(context.Background(), WeakScaling, opts)
+	parallel, err := RunScaling(context.Background(), WeakScaling, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestScalingDedupAxisDeterministicAcrossParallelism(t *testing.T) {
 	}
 	// Without the axis the extra runs must not exist and the tables keep
 	// their original shape.
-	plain, err := RunScalingContext(context.Background(), WeakScaling, fastOpts(2))
+	plain, err := RunScaling(context.Background(), WeakScaling, fastOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestServingDedupAxisDeterministicAcrossParallelism(t *testing.T) {
 		Rates:          []float64{2000},
 		CacheFractions: []float64{0, 0.01},
 		Dedups:         []bool{false, true},
-		Backends:       []retrieval.Backend{&retrieval.PGASFused{}},
+		Backends:       []string{"pgas-fused"},
 		Duration:       200 * sim.Millisecond,
 		Base:           &base,
 		HW:             &hw,
@@ -96,7 +95,7 @@ func TestServingDedupAxisDeterministicAcrossParallelism(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		o := opts
 		o.Parallel = parallel
-		res, err := RunServing(o)
+		res, err := RunServing(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,11 +102,11 @@ func fastOpts(parallel int) Options {
 // serial sweep's.
 func TestParallelScalingMatchesSerial(t *testing.T) {
 	for _, kind := range []ScalingKind{WeakScaling, StrongScaling} {
-		serial, err := RunScalingContext(context.Background(), kind, fastOpts(1))
+		serial, err := RunScaling(context.Background(), kind, fastOpts(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := RunScalingContext(context.Background(), kind, fastOpts(4))
+		parallel, err := RunScaling(context.Background(), kind, fastOpts(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +129,11 @@ func TestParallelScalingMatchesSerial(t *testing.T) {
 }
 
 func TestParallelAblationsMatchSerial(t *testing.T) {
-	serial, err := RunAblationsContext(context.Background(), 3, fastOpts(1))
+	serial, err := RunAblations(context.Background(), 3, fastOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunAblationsContext(context.Background(), 3, fastOpts(5))
+	parallel, err := RunAblations(context.Background(), 3, fastOpts(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestParallelAblationsMatchSerial(t *testing.T) {
 }
 
 func TestParallelStatsMatchSerial(t *testing.T) {
-	serial, err := RunScalingStatsContext(context.Background(), WeakScaling, 3, fastOpts(1))
+	serial, err := RunScalingStats(context.Background(), WeakScaling, 3, fastOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunScalingStatsContext(context.Background(), WeakScaling, 3, fastOpts(6))
+	parallel, err := RunScalingStats(context.Background(), WeakScaling, 3, fastOpts(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestParallelStatsMatchSerial(t *testing.T) {
 }
 
 func TestParallelCommVolumeMatchesSerial(t *testing.T) {
-	serial, err := RunCommVolumeContext(context.Background(), WeakScaling, 2, 50, fastOpts(1))
+	serial, err := RunCommVolume(context.Background(), WeakScaling, 2, 50, fastOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunCommVolumeContext(context.Background(), WeakScaling, 2, 50, fastOpts(2))
+	parallel, err := RunCommVolume(context.Background(), WeakScaling, 2, 50, fastOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,11 @@ func TestParallelCommVolumeMatchesSerial(t *testing.T) {
 func TestExperimentContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunScalingContext(ctx, WeakScaling, fastOpts(2)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunScalingContext: err = %v, want context.Canceled", err)
+	if _, err := RunScaling(ctx, WeakScaling, fastOpts(2)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunScaling: err = %v, want context.Canceled", err)
 	}
-	if _, err := RunAblationsContext(ctx, 2, fastOpts(2)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunAblationsContext: err = %v, want context.Canceled", err)
+	if _, err := RunAblations(ctx, 2, fastOpts(2)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunAblations: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestBenchRecordsExperiments(t *testing.T) {
 	b := NewBench()
 	opts := fastOpts(2)
 	opts.Bench = b
-	if _, err := RunScalingContext(context.Background(), WeakScaling, opts); err != nil {
+	if _, err := RunScaling(context.Background(), WeakScaling, opts); err != nil {
 		t.Fatal(err)
 	}
 	rep := b.Report()
@@ -216,7 +216,7 @@ func TestBenchRecordsPipelineDepthRuns(t *testing.T) {
 	opts := fastOpts(2)
 	opts.Bench = b
 	depths := []int{1, 2}
-	points, err := RunPipelineDepthContext(context.Background(), 2, depths, opts)
+	points, err := RunPipelineDepth(context.Background(), 2, depths, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,9 @@ type PlacementOptions struct {
 	// adaptive+mirror (rebalancing plus top-K hot-table replication).
 	// Default: all four.
 	Policies []string
-	// Backends defaults to baseline and pgas-fused.
-	Backends []retrieval.Backend
+	// Backends names the registered backends to sweep, each resolved to a
+	// fresh instance per point (default baseline and pgas-fused).
+	Backends []string
 	// GPUs sizes the machine (default 4). Ignored when Base is set.
 	GPUs int
 	// ZipfExponents are the row-skew settings to sweep (default {1.05, 1.2}).
@@ -56,13 +57,6 @@ func (o PlacementOptions) policies() []string {
 		return o.Policies
 	}
 	return PlacementPolicies
-}
-
-func (o PlacementOptions) backends() []retrieval.Backend {
-	if len(o.Backends) > 0 {
-		return o.Backends
-	}
-	return []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}}
 }
 
 func (o PlacementOptions) zipfs() []float64 {
@@ -162,18 +156,13 @@ type PlacementResult struct {
 	Points   []PlacementPoint
 }
 
-// RunPlacement executes the placement-policy sweep.
-func RunPlacement(opts PlacementOptions) (*PlacementResult, error) {
-	return RunPlacementContext(context.Background(), opts)
-}
-
-// RunPlacementContext is RunPlacement with cancellation. Every grid point
-// owns its system, so points dispatch freely onto the worker pool; results
-// land in an index-addressed slice, byte-identical at any parallelism.
-func RunPlacementContext(ctx context.Context, opts PlacementOptions) (*PlacementResult, error) {
+// RunPlacement executes the placement-policy sweep. Every grid point owns
+// its system, so points dispatch freely onto the worker pool; results land
+// in an index-addressed slice, byte-identical at any parallelism.
+func RunPlacement(ctx context.Context, opts PlacementOptions) (*PlacementResult, error) {
 	policies := opts.policies()
 	zipfs := opts.zipfs()
-	backends := opts.backends()
+	backends := sweepBackends(opts.Backends)
 	base := opts.base()
 	hw := opts.hardware()
 	for _, p := range policies {
@@ -191,7 +180,10 @@ func RunPlacementContext(ctx context.Context, opts PlacementOptions) (*Placement
 		pi := i % len(policies)
 		zi := i / len(policies) % len(zipfs)
 		bi := i / (len(policies) * len(zipfs))
-		backend := backends[bi]
+		backend, err := retrieval.NewBackendByName(backends[bi])
+		if err != nil {
+			return fmt.Errorf("experiments: placement sweep: %w", err)
+		}
 		policy := policies[pi]
 
 		cfg := base

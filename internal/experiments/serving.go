@@ -22,8 +22,9 @@ type ServingOptions struct {
 	// {false}). It is the innermost axis, so each (backend, rate, fraction)
 	// combination's dedup variants render adjacently.
 	Dedups []bool
-	// Backends defaults to baseline and pgas-fused.
-	Backends []retrieval.Backend
+	// Backends names the registered backends to sweep, each resolved to a
+	// fresh instance per point (default baseline and pgas-fused).
+	Backends []string
 	// GPUs sizes the serving machine (default 4). Ignored when Base is set.
 	GPUs int
 	// Duration is each point's arrival window (default 2 simulated seconds).
@@ -49,13 +50,6 @@ type ServingOptions struct {
 	Parallel int
 	// Bench, when set, records the sweep's wall-clock time.
 	Bench *Bench
-}
-
-func (o ServingOptions) backends() []retrieval.Backend {
-	if len(o.Backends) > 0 {
-		return o.Backends
-	}
-	return []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}}
 }
 
 func (o ServingOptions) base() retrieval.Config {
@@ -132,20 +126,15 @@ type ServingResult struct {
 	Points         []ServingPoint
 }
 
-// RunServing executes the serving sweep.
-func RunServing(opts ServingOptions) (*ServingResult, error) {
-	return RunServingContext(context.Background(), opts)
-}
-
-// RunServingContext is RunServing with cancellation. Every grid point owns
-// its server (and therefore its cache set), so points are independent and
-// dispatch freely onto the worker pool; results land in an index-addressed
-// slice, byte-identical at any parallelism.
-func RunServingContext(ctx context.Context, opts ServingOptions) (*ServingResult, error) {
+// RunServing executes the serving sweep. Every grid point owns its server
+// (and therefore its cache set), so points are independent and dispatch
+// freely onto the worker pool; results land in an index-addressed slice,
+// byte-identical at any parallelism.
+func RunServing(ctx context.Context, opts ServingOptions) (*ServingResult, error) {
 	if len(opts.Rates) == 0 || len(opts.CacheFractions) == 0 {
 		return nil, fmt.Errorf("experiments: serving sweep needs at least one rate and one cache fraction")
 	}
-	backends := opts.backends()
+	backends := sweepBackends(opts.Backends)
 	dedups := opts.dedups()
 	base := opts.base()
 	hw := opts.hardware()
@@ -158,7 +147,10 @@ func RunServingContext(ctx context.Context, opts ServingOptions) (*ServingResult
 		fi := i / len(dedups) % len(opts.CacheFractions)
 		ri := i / (len(dedups) * len(opts.CacheFractions)) % len(opts.Rates)
 		bi := i / (len(dedups) * len(opts.CacheFractions) * len(opts.Rates))
-		backend := backends[bi]
+		backend, err := retrieval.NewBackendByName(backends[bi])
+		if err != nil {
+			return fmt.Errorf("experiments: serving sweep: %w", err)
+		}
 
 		cfg := base
 		cfg.CacheFraction = opts.CacheFractions[fi]

@@ -27,18 +27,37 @@ import (
 // barrier — the same per-slot hot path the pipelined DLRM scheduler runs,
 // still allocation-free in steady state.
 func BenchLoop(s *System, b Backend, n int) error {
-	if err := ValidateBackend(b, s.Cfg); err != nil {
-		return err
-	}
 	if n <= 0 {
 		return fmt.Errorf("retrieval: BenchLoop needs a positive batch count, got %d", n)
+	}
+	l, err := prepareBenchLoop(s, b)
+	if err != nil {
+		return err
+	}
+	return l.run(n)
+}
+
+// benchLoop is BenchLoop split at its measurement boundary:
+// prepareBenchLoop generates and classifies the batches and spawns the GPU
+// processes, run drives them. Allocation tests time only run, so the
+// one-time setup never shows up in allocs/op however small b.N is (under
+// -race b.N shrinks enough for setup/N to round up to 1).
+type benchLoop struct {
+	s   *System
+	n   int
+	err error
+}
+
+func prepareBenchLoop(s *System, b Backend) (*benchLoop, error) {
+	if err := ValidateBackend(b, s.Cfg); err != nil {
+		return nil, err
 	}
 	depth := s.PipelineDepth()
 	bds := make([]*BatchData, depth)
 	for i := range bds {
 		bd, err := s.NextBatchData()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		bds[i] = bd
 	}
@@ -51,17 +70,17 @@ func BenchLoop(s *System, b Backend, n int) error {
 	if depth > 1 {
 		win = sim.NewWindow(s.Env, s.Cfg.GPUs, depth)
 	}
-	var runErr error
+	l := &benchLoop{s: s}
 	for g := 0; g < s.Cfg.GPUs; g++ {
 		g := g
 		s.Env.Go(fmt.Sprintf("gpu%d", g), func(p *sim.Proc) {
 			defer func() {
-				if r := recover(); r != nil && runErr == nil {
-					runErr = fmt.Errorf("retrieval: GPU %d: %v", g, r)
+				if r := recover(); r != nil && l.err == nil {
+					l.err = fmt.Errorf("retrieval: GPU %d: %v", g, r)
 				}
 			}()
 			if win != nil {
-				for i := 0; i < n; i++ {
+				for i := 0; i < l.n; i++ {
 					win.Enter(p, i)
 					b.RunBatch(s, p, g, bds[i%depth], bks[g])
 					win.Retire(g)
@@ -69,15 +88,22 @@ func BenchLoop(s *System, b Backend, n int) error {
 				barrier.Await(p)
 				return
 			}
-			for i := 0; i < n; i++ {
+			for i := 0; i < l.n; i++ {
 				barrier.Await(p)
 				b.RunBatch(s, p, g, bds[0], bks[g])
 			}
 			barrier.Await(p)
 		})
 	}
-	s.Env.Run()
-	return runErr
+	return l, nil
+}
+
+// run drives n batches through the prepared processes. It may be called
+// once: the processes finish with the loop.
+func (l *benchLoop) run(n int) error {
+	l.n = n
+	l.s.Env.Run()
+	return l.err
 }
 
 // PlanCompileLoop drives n route-plan compilations over ONE materialised

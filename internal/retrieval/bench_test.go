@@ -36,9 +36,13 @@ func benchRunHW(b *testing.B, cfg Config, hw HardwareParams, backend Backend) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	loop, err := prepareBenchLoop(sys, backend)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := BenchLoop(sys, backend, b.N); err != nil {
+	if err := loop.run(b.N); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -232,9 +236,13 @@ func TestMultiNodeSteadyStateZeroAllocs(t *testing.T) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				loop, err := prepareBenchLoop(sys, c.backend)
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
-				if err := BenchLoop(sys, c.backend, b.N); err != nil {
+				if err := loop.run(b.N); err != nil {
 					b.Fatal(err)
 				}
 			})

@@ -282,9 +282,13 @@ func TestAdaptivePlacementSteadyStateZeroAllocs(t *testing.T) {
 		if !sys.hotMirrorActive() {
 			b.Fatal("rebalance did not install mirrors; the benchmark would not cover the mirror path")
 		}
+		loop, err := prepareBenchLoop(sys, &PGASFused{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		if err := BenchLoop(sys, &PGASFused{}, b.N); err != nil {
+		if err := loop.run(b.N); err != nil {
 			b.Fatal(err)
 		}
 	})

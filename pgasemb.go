@@ -14,25 +14,18 @@
 //	res, err := sys.Run(pgasemb.NewPGASFused())
 //	fmt.Println(res.TotalTime)
 //
-// The package re-exports the stable surface of the internal packages; see
-// DESIGN.md for the architecture and EXPERIMENTS.md for the
+// The package re-exports the surface the examples and package tests use;
+// the command-line tools under cmd/ import the internal packages directly.
+// See DESIGN.md for the architecture and EXPERIMENTS.md for the
 // paper-vs-measured comparison.
 package pgasemb
 
 import (
 	"context"
-
-	"pgasemb/internal/cache"
 	"pgasemb/internal/dlrm"
 	"pgasemb/internal/experiments"
-	"pgasemb/internal/fabric"
-	"pgasemb/internal/fault"
-	"pgasemb/internal/metrics"
 	"pgasemb/internal/nvlink"
-	"pgasemb/internal/pgas"
 	"pgasemb/internal/retrieval"
-	"pgasemb/internal/serve"
-	"pgasemb/internal/workload"
 )
 
 // Core experiment types.
@@ -54,25 +47,13 @@ type (
 	Result = retrieval.Result
 	// Backend is an EMB-layer retrieval implementation.
 	Backend = retrieval.Backend
-	// Baseline is the NCCL collective implementation (kernel → sync →
-	// all_to_all_single → unpack).
-	Baseline = retrieval.Baseline
-	// PGASFused is the paper's one-sided fused-kernel implementation.
-	PGASFused = retrieval.PGASFused
 	// AggregatorConfig enables the future-work aggregated-store variant.
 	AggregatorConfig = retrieval.AggregatorConfig
-)
-
-// DLRM pipeline types.
-type (
 	// Pipeline runs full DLRM inference around a retrieval backend.
 	Pipeline = dlrm.Pipeline
-	// PipelineResult is a timed inference run's summary.
-	PipelineResult = dlrm.PipelineResult
-	// Model is the dense-path DLRM (MLPs + interaction + sigmoid).
-	Model = dlrm.Model
-	// ModelConfig shapes a Model.
-	ModelConfig = dlrm.ModelConfig
+	// Trainer times full DLRM training steps (EMB forward + dense
+	// forward/backward + EMB backward).
+	Trainer = dlrm.Trainer
 )
 
 // Experiment harness types.
@@ -85,8 +66,6 @@ type (
 	CommVolumeResult = experiments.CommVolumeResult
 	// ExperimentOptions tunes a harness run.
 	ExperimentOptions = experiments.Options
-	// RenderedTable is an ASCII/CSV-renderable experiment artifact.
-	RenderedTable = experiments.Table
 )
 
 // Experiment kinds.
@@ -100,8 +79,12 @@ const (
 	CompComputation = retrieval.CompComputation
 	CompComm        = retrieval.CompComm
 	CompSyncUnpack  = retrieval.CompSyncUnpack
-	CompFused       = retrieval.CompFused
 )
+
+// RowWiseSharding (Config.Sharding) splits every table's rows across GPUs
+// (RecShard style) instead of giving each GPU whole tables; it requires sum
+// pooling and the row-wise backends.
+const RowWiseSharding = retrieval.RowWise
 
 // DefaultHardware returns the calibrated DGX Station V100 parameter set.
 func DefaultHardware() HardwareParams { return retrieval.DefaultHardware() }
@@ -110,36 +93,13 @@ func DefaultHardware() HardwareParams { return retrieval.DefaultHardware() }
 // 3.0), for cross-hardware sensitivity runs.
 func A100Hardware() HardwareParams { return retrieval.A100Hardware() }
 
-// ClusterHardware returns the default hardware composed into `nodes` NVLink
-// nodes joined by modeled NICs: inter-node traffic rides the fabric
-// interconnect (contention, message chunking, launch overhead), baseline
-// collectives go hierarchical, and PGAS one-sided stores to remote nodes
-// coalesce through per-GPU proxies. The experiment's GPU count must be
-// divisible by `nodes`; a count that is not is rejected with a descriptive
-// error by NewSystemSpec / NewSystem.
-func ClusterHardware(nodes int) HardwareParams { return retrieval.ClusterHardware(nodes) }
-
-// NICParams tunes the per-node NIC model (HardwareParams.NIC): count,
-// bandwidth, latency, header bytes, message chunking and launch overhead.
-type NICParams = fabric.NICParams
-
-// DefaultNICParams returns the calibrated HDR-InfiniBand-class NIC model.
-func DefaultNICParams() NICParams { return fabric.DefaultNICParams() }
-
-// ProxyConfig tunes the inter-node PGAS proxy (HardwareParams.Proxy): the
-// staging-buffer threshold that flushes coalesced stores into one NIC
-// message, and the drain interval bounding staging delay.
-type ProxyConfig = pgas.ProxyConfig
-
-// DefaultProxyConfig returns the default proxy coalescing parameters.
-func DefaultProxyConfig() ProxyConfig { return pgas.DefaultProxyConfig() }
-
 // MultiNodeHardware returns the default hardware with the interconnect
 // split into `nodes` chassis joined by thin NVLink-modeled network links —
-// the legacy topology-only multi-node approximation. Prefer ClusterHardware,
-// which models NICs, hierarchical collectives and proxy coalescing. The
-// experiment's GPU count must be divisible by `nodes`; a count that is not
-// is rejected with an error by NewSystemSpec / NewSystem.
+// a topology-only multi-node approximation. The full cluster model (NICs,
+// hierarchical collectives, proxy coalescing) drives the multinode,
+// precision and chaos tools. The experiment's GPU count must be divisible
+// by `nodes`; a count that is not is rejected with an error by
+// NewSystemSpec / NewSystem.
 func MultiNodeHardware(nodes int) HardwareParams {
 	hw := retrieval.DefaultHardware()
 	hw.Topology = func(gpus int) nvlink.Topology {
@@ -181,27 +141,12 @@ func CriteoShapedConfig(gpus int) Config { return retrieval.CriteoShapedConfig(g
 // are verified bit-exactly against a serial reference.
 func TestScaleConfig(gpus int) Config { return retrieval.TestScaleConfig(gpus) }
 
-// NewBaseline returns the NCCL-collective baseline backend.
+// NewBaseline returns the NCCL-collective baseline backend (kernel → sync →
+// all_to_all_single → unpack).
 func NewBaseline() Backend { return &retrieval.Baseline{} }
 
-// NewPGASFused returns the paper's PGAS fused-kernel backend.
+// NewPGASFused returns the paper's PGAS one-sided fused-kernel backend.
 func NewPGASFused() Backend { return &retrieval.PGASFused{} }
-
-// NewHybrid returns the size-adaptive backend: per (owner, consumer) pair it
-// routes traffic over one-sided stores or the collective, whichever the
-// batch's route plan prices cheaper on the configured hardware.
-func NewHybrid() Backend { return &retrieval.Hybrid{} }
-
-// NewBackendByName constructs a registered backend by its registry name; an
-// unknown name errors with the list of registered names.
-func NewBackendByName(name string) (Backend, error) { return retrieval.NewBackendByName(name) }
-
-// RegisteredBackends returns the names of all registered backends, sorted.
-func RegisteredBackends() []string { return retrieval.RegisteredBackends() }
-
-// BackendSummary returns the registered one-line description for a backend
-// name ("" if unregistered).
-func BackendSummary(name string) string { return retrieval.BackendSummary(name) }
 
 // NewUnpackOnlyAblation returns ablation A1: collective communication kept,
 // unpack step eliminated (direct placement).
@@ -225,27 +170,6 @@ func NewBackwardBaseline() Backend { return &retrieval.BackwardBaseline{} }
 // NewBackwardPGAS returns the paper's proposed backward pass: one-sided
 // remote atomic gradient pushes fused with the table-update kernel.
 func NewBackwardPGAS() Backend { return &retrieval.BackwardPGAS{} }
-
-// Sharding schemes (Config.Sharding).
-const (
-	// TableWiseSharding gives each GPU whole tables (the paper's setup).
-	TableWiseSharding = retrieval.TableWise
-	// RowWiseSharding splits every table's rows across GPUs (RecShard
-	// style); requires sum pooling and the row-wise backends.
-	RowWiseSharding = retrieval.RowWise
-)
-
-// IndexDist selects the synthetic workload's index distribution
-// (Config.Distribution).
-type IndexDist = workload.IndexDist
-
-const (
-	// UniformIndices draws raw indices uniformly (the default).
-	UniformIndices = workload.Uniform
-	// ZipfIndices draws Zipf-skewed indices (Config.ZipfExponent); the
-	// regime where the hot-row cache and index deduplication win.
-	ZipfIndices = workload.Zipf
-)
 
 // NewRowWiseBaseline returns the reduce-scatter row-wise EMB forward.
 func NewRowWiseBaseline() Backend { return &retrieval.RowWiseBaseline{} }
@@ -271,186 +195,12 @@ func SkewedPooling(totalTables int, hotFraction float64, hotMax, coldMax int) []
 // RunScaling executes the weak- or strong-scaling sweep (Tables 1/2,
 // Figures 5/6/8/9).
 func RunScaling(kind ScalingKind, opts ExperimentOptions) (*ScalingResult, error) {
-	return experiments.RunScaling(kind, opts)
-}
-
-// RunScalingContext is RunScaling with cancellation: the sweep's runs
-// dispatch onto a bounded worker pool (ExperimentOptions.Parallel) and stop
-// early when ctx is cancelled.
-func RunScalingContext(ctx context.Context, kind ScalingKind, opts ExperimentOptions) (*ScalingResult, error) {
-	return experiments.RunScalingContext(ctx, kind, opts)
+	return experiments.RunScaling(context.Background(), kind, opts)
 }
 
 // RunCommVolume profiles communication volume over time (Figures 7/10).
 func RunCommVolume(kind ScalingKind, gpus, bins int, opts ExperimentOptions) (*CommVolumeResult, error) {
-	return experiments.RunCommVolume(kind, gpus, bins, opts)
-}
-
-// RunCommVolumeContext is RunCommVolume with cancellation.
-func RunCommVolumeContext(ctx context.Context, kind ScalingKind, gpus, bins int, opts ExperimentOptions) (*CommVolumeResult, error) {
-	return experiments.RunCommVolumeContext(ctx, kind, gpus, bins, opts)
-}
-
-// Precision selects the wire transport format for embedding rows
-// (Config.WirePrecision): fp32 passthrough, fp16 half floats, or int8 with a
-// per-row absmax scale. Tables and pooled outputs stay fp32; only whole-row
-// transfers over NVLink and the NIC are compressed.
-type Precision = retrieval.Precision
-
-// Wire precisions (Config.WirePrecision).
-const (
-	// WireFP32 ships rows uncompressed (the default).
-	WireFP32 = retrieval.FP32
-	// WireFP16 ships rows as IEEE half floats: 2 bytes per element,
-	// worst-case per-element error 2^-10 times the element magnitude.
-	WireFP16 = retrieval.FP16
-	// WireInt8 ships rows as per-row absmax-scaled int8: 1 byte per element
-	// plus a 4-byte scale, worst-case error absmax/127 per row.
-	WireInt8 = retrieval.Int8
-)
-
-// ParsePrecision maps "fp32", "fp16" or "int8" (or "") to a Precision.
-func ParsePrecision(s string) (Precision, error) { return retrieval.ParsePrecision(s) }
-
-// Wire-precision sweep types.
-type (
-	// PrecisionOptions tunes the backend × dedup × precision sweep.
-	PrecisionOptions = experiments.PrecisionOptions
-	// PrecisionResult is the sweep's cell grid plus measured output errors.
-	PrecisionResult = experiments.PrecisionResult
-	// PrecisionPoint is one (backend, dedup, precision) timing run.
-	PrecisionPoint = experiments.PrecisionPoint
-)
-
-// RunPrecision executes the wire-precision sweep: every (backend, dedup,
-// precision) cell is a timing run on the same seed, with communication
-// volume, NIC traffic and measured worst-case output error alongside the
-// speedups.
-func RunPrecision(opts PrecisionOptions) (*PrecisionResult, error) {
-	return experiments.RunPrecision(opts)
-}
-
-// RunPrecisionContext is RunPrecision with cancellation.
-func RunPrecisionContext(ctx context.Context, opts PrecisionOptions) (*PrecisionResult, error) {
-	return experiments.RunPrecisionContext(ctx, opts)
-}
-
-// Multi-node sweep types.
-type (
-	// MultiNodeOptions tunes the multi-node scaling sweep (node count,
-	// GPUs per node, batch overrides, parallelism).
-	MultiNodeOptions = experiments.MultiNodeOptions
-	// MultiNodeResult is a sweep over node counts with both backends.
-	MultiNodeResult = experiments.MultiNodeResult
-	// MultiNodePoint is one node count's pair of runs.
-	MultiNodePoint = experiments.MultiNodePoint
-)
-
-// MultiNodeConfig returns the multi-node weak-scaling configuration (16
-// tables per GPU, Zipf-skewed serving-style stream).
-func MultiNodeConfig(nodes, gpusPerNode int) Config {
-	return retrieval.MultiNodeConfig(nodes, gpusPerNode)
-}
-
-// MultiNodeStrongConfig is MultiNodeConfig with the table population fixed
-// while nodes are added.
-func MultiNodeStrongConfig(nodes, gpusPerNode int) Config {
-	return retrieval.MultiNodeStrongConfig(nodes, gpusPerNode)
-}
-
-// RunMultiNode executes the multi-node scaling sweep: both backends at every
-// node count, with NIC-traffic accounting alongside the speedups.
-func RunMultiNode(kind ScalingKind, opts MultiNodeOptions) (*MultiNodeResult, error) {
-	return experiments.RunMultiNode(kind, opts)
-}
-
-// RunMultiNodeContext is RunMultiNode with cancellation.
-func RunMultiNodeContext(ctx context.Context, kind ScalingKind, opts MultiNodeOptions) (*MultiNodeResult, error) {
-	return experiments.RunMultiNodeContext(ctx, kind, opts)
-}
-
-// Scorecard renders the headline paper-vs-measured comparison.
-func Scorecard(weak, strong *ScalingResult) *RenderedTable {
-	return experiments.Scorecard(weak, strong)
-}
-
-// SpeedupStats summarises speedups across workload seeds.
-type SpeedupStats = experiments.SpeedupStats
-
-// RunScalingStats repeats the sweep across several workload seeds and
-// reports per-point speedup statistics.
-func RunScalingStats(kind ScalingKind, seeds int, opts ExperimentOptions) ([]SpeedupStats, error) {
-	return experiments.RunScalingStats(kind, seeds, opts)
-}
-
-// RunScalingStatsContext is RunScalingStats with cancellation.
-func RunScalingStatsContext(ctx context.Context, kind ScalingKind, seeds int, opts ExperimentOptions) ([]SpeedupStats, error) {
-	return experiments.RunScalingStatsContext(ctx, kind, seeds, opts)
-}
-
-// StatsTable renders speedup statistics.
-func StatsTable(kind ScalingKind, stats []SpeedupStats) *RenderedTable {
-	return experiments.StatsTable(kind, stats)
-}
-
-// AblationResult is one backend's runtime in the mechanism-isolation suite.
-type AblationResult = experiments.AblationResult
-
-// RunAblations executes the mechanism-isolation suite: baseline, each of
-// the paper's two mechanisms alone, full PGAS, and aggregated PGAS.
-func RunAblations(gpus int, opts ExperimentOptions) ([]AblationResult, error) {
-	return experiments.RunAblations(gpus, opts)
-}
-
-// RunAblationsContext is RunAblations with cancellation.
-func RunAblationsContext(ctx context.Context, gpus int, opts ExperimentOptions) ([]AblationResult, error) {
-	return experiments.RunAblationsContext(ctx, gpus, opts)
-}
-
-// PipelineDepthPoint is one (backend, depth) run of the inter-batch
-// pipelining sweep.
-type PipelineDepthPoint = experiments.PipelineDepthPoint
-
-// RunPipelineDepth sweeps the inter-batch pipeline depth for the baseline
-// and the accelerated backend on the weak-scaling DLRM workload.
-func RunPipelineDepth(gpus int, depths []int, opts ExperimentOptions) ([]PipelineDepthPoint, error) {
-	return experiments.RunPipelineDepth(gpus, depths, opts)
-}
-
-// RunPipelineDepthContext is RunPipelineDepth with cancellation.
-func RunPipelineDepthContext(ctx context.Context, gpus int, depths []int, opts ExperimentOptions) ([]PipelineDepthPoint, error) {
-	return experiments.RunPipelineDepthContext(ctx, gpus, depths, opts)
-}
-
-// PipelineDepthTable renders the pipeline-depth sweep as a table.
-func PipelineDepthTable(points []PipelineDepthPoint) *RenderedTable {
-	return experiments.PipelineDepthTable(points)
-}
-
-// Bench records host-side wall-clock timing of experiment runs; attach one
-// via ExperimentOptions.Bench and write its report with WriteJSON.
-type Bench = experiments.Bench
-
-// BenchReport is the machine-readable summary a Bench assembles.
-type BenchReport = experiments.BenchReport
-
-// NewBench returns an empty experiment-timing recorder.
-func NewBench() *Bench { return experiments.NewBench() }
-
-// HotPathBenchmark is one Go-benchmark measurement of a per-batch hot path,
-// recorded into bench.json for regression tracking.
-type HotPathBenchmark = experiments.HotPathBenchmark
-
-// RunHotPaths measures the per-batch retrieval hot paths and a short
-// serving run, recording each measurement on b.
-func RunHotPaths(b *Bench) error { return experiments.RunHotPaths(b) }
-
-// DedupCounters aggregates batch-level index-deduplication savings.
-type DedupCounters = metrics.DedupCounters
-
-// AblationTable renders ablation results as a table.
-func AblationTable(results []AblationResult) *RenderedTable {
-	return experiments.AblationTable(results)
+	return experiments.RunCommVolume(context.Background(), kind, gpus, bins, opts)
 }
 
 // NewPipeline wires a full DLRM inference pipeline around the given
@@ -459,160 +209,8 @@ func NewPipeline(cfg Config, hw HardwareParams, backend Backend) (*Pipeline, err
 	return dlrm.NewPipeline(cfg, hw, backend)
 }
 
-// Trainer types.
-type (
-	// Trainer times full DLRM training steps (EMB forward + dense
-	// forward/backward + EMB backward).
-	Trainer = dlrm.Trainer
-	// TrainResult summarises a training run.
-	TrainResult = dlrm.TrainResult
-)
-
 // NewTrainer wires a training-step driver with separate forward and
 // backward EMB communication schemes.
 func NewTrainer(cfg Config, hw HardwareParams, fwd, bwd Backend) (*Trainer, error) {
 	return dlrm.NewTrainer(cfg, hw, fwd, bwd)
-}
-
-// Online serving types.
-type (
-	// ServeConfig tunes the serving layer: arrival process and rate,
-	// dynamic-batching policy (MaxBatch, MaxWait), and queue capacity.
-	ServeConfig = serve.Config
-	// Server is an online serving setup: open-loop arrivals, admission
-	// queue, dynamic batcher, and a persistent hot-row cache, dispatching
-	// device batches through the DLRM pipeline.
-	Server = serve.Server
-	// ServeResult is one serving run's counters and latency samples.
-	ServeResult = serve.Result
-	// Arrival selects the request arrival process.
-	Arrival = serve.Arrival
-	// CacheCounters aggregates hot-row cache hit/miss/eviction counts.
-	CacheCounters = metrics.CacheCounters
-	// CacheSet is the per-GPU hot-row embedding cache array; one set can
-	// stay attached — warm — across many pipeline runs.
-	CacheSet = cache.Set
-)
-
-// Arrival processes (ServeConfig.Arrival).
-const (
-	PoissonArrivals = serve.Poisson
-	BurstyArrivals  = serve.Bursty
-)
-
-// NewServer validates and wires an online serving setup around the given
-// base configuration and retrieval backend. Set Config.CacheFraction on the
-// base to enable the hot-row cache.
-func NewServer(base Config, hw HardwareParams, backend Backend, cfg ServeConfig) (*Server, error) {
-	return serve.NewServer(base, hw, backend, cfg)
-}
-
-// ServingScaleConfig returns the serving workload configuration: a skewed
-// (Zipf) index stream on a machine one device batch fits comfortably.
-func ServingScaleConfig(gpus int) Config { return retrieval.ServingScaleConfig(gpus) }
-
-// Serving sweep types.
-type (
-	// ServingOptions tunes the rate × cache-fraction × backend sweep.
-	ServingOptions = experiments.ServingOptions
-	// ServingResult is the sweep's point grid.
-	ServingResult = experiments.ServingResult
-	// ServingPoint is one (backend, rate, cache fraction) serving run.
-	ServingPoint = experiments.ServingPoint
-)
-
-// RunServing executes the online-serving sweep: every (backend, arrival
-// rate, cache fraction) point is a full serving simulation reporting tail
-// latency, goodput, drops, and cache hit rate.
-func RunServing(opts ServingOptions) (*ServingResult, error) {
-	return experiments.RunServing(opts)
-}
-
-// RunServingContext is RunServing with cancellation.
-func RunServingContext(ctx context.Context, opts ServingOptions) (*ServingResult, error) {
-	return experiments.RunServingContext(ctx, opts)
-}
-
-// Fault-injection and resilience types.
-type (
-	// FaultSchedule is a deterministic, batch-indexed fault schedule:
-	// link/NIC bandwidth degradation, per-GPU stragglers and proxy delivery
-	// drops, installed via HardwareParams.Faults.
-	FaultSchedule = fault.Schedule
-	// FaultEvent is one windowed fault.
-	FaultEvent = fault.Event
-	// FaultKind names a fault event's mechanism.
-	FaultKind = fault.Kind
-	// FaultRetryPolicy tunes the proxy retransmission loop (timeout,
-	// backoff, attempt cap) for dropped deliveries.
-	FaultRetryPolicy = fault.RetryPolicy
-	// DegradePolicy decides what the serving layer sacrifices while the
-	// machine is unhealthy (ServeConfig.Degrade).
-	DegradePolicy = serve.DegradePolicy
-	// RetryCounters aggregates proxy drop/retry volume and the serving
-	// layer's shed/reject actions.
-	RetryCounters = metrics.RetryCounters
-	// ChaosOptions tunes the backend × fault-profile × replica-count sweep.
-	ChaosOptions = experiments.ChaosOptions
-	// ChaosResult is the chaos sweep's point grid.
-	ChaosResult = experiments.ChaosResult
-	// ChaosPoint is one (backend, fault profile, replica count) serving run.
-	ChaosPoint = experiments.ChaosPoint
-	// PlacementOptions tunes the placement-policy × backend × Zipf sweep.
-	PlacementOptions = experiments.PlacementOptions
-	// PlacementResult is the placement sweep's point grid.
-	PlacementResult = experiments.PlacementResult
-	// PlacementPoint is one (backend, Zipf exponent, policy) retrieval run.
-	PlacementPoint = experiments.PlacementPoint
-)
-
-// Fault event kinds (FaultEvent.Kind).
-const (
-	LinkDegrade = fault.LinkDegrade
-	NICDegrade  = fault.NICDegrade
-	Straggler   = fault.Straggler
-	ProxyDrop   = fault.ProxyDrop
-)
-
-// FaultProfiles lists the named fault profiles, sorted.
-func FaultProfiles() []string { return fault.Profiles() }
-
-// FaultProfile builds the named canned fault schedule with the given seed.
-func FaultProfile(name string, seed uint64) (*FaultSchedule, error) {
-	return fault.Profile(name, seed)
-}
-
-// DefaultDegradePolicy is the degraded-serving policy the chaos sweep
-// applies when none is given.
-func DefaultDegradePolicy() DegradePolicy { return experiments.DefaultDegradePolicy() }
-
-// RunChaos executes the resilience sweep: every (backend, fault profile,
-// replica count) point is a full serving simulation under that fault
-// schedule, reporting availability, tail latency, goodput and retry volume.
-func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
-	return experiments.RunChaos(opts)
-}
-
-// RunChaosContext is RunChaos with cancellation.
-func RunChaosContext(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
-	return experiments.RunChaosContext(ctx, opts)
-}
-
-// PlacementPolicies lists the placement sweep's known policy names, in
-// sweep order: static, greedy, adaptive, adaptive+mirror.
-func PlacementPolicies() []string {
-	return append([]string(nil), experiments.PlacementPolicies...)
-}
-
-// RunPlacement executes the adaptive-placement sweep: every (backend, Zipf
-// exponent, policy) point is an offline retrieval run on a skewed workload,
-// reporting simulated time, per-owner load imbalance, plan swaps and
-// migration volume.
-func RunPlacement(opts PlacementOptions) (*PlacementResult, error) {
-	return experiments.RunPlacement(opts)
-}
-
-// RunPlacementContext is RunPlacement with cancellation.
-func RunPlacementContext(ctx context.Context, opts PlacementOptions) (*PlacementResult, error) {
-	return experiments.RunPlacementContext(ctx, opts)
 }
