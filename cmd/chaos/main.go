@@ -50,14 +50,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	c.NonNegative("nodes")
 	return c.Run(args, func(ctx context.Context) error {
 		opts := experiments.ChaosOptions{
+			Options:  experiments.Options{GPUs: *gpus, Nodes: *nodes, Backends: *backends, Parallel: c.Workers()},
 			Profiles: *profiles,
 			Replicas: *replicas,
-			Backends: *backends,
-			GPUs:     *gpus,
-			Nodes:    *nodes,
 			Rate:     *rate,
 			Duration: duration.Seconds(),
-			Parallel: c.Workers(),
 		}
 		fmt.Fprintf(stdout, "== Chaos sweep (%d GPUs, %d nodes, %.0f req/s, %v simulated per point) ==\n",
 			*gpus, *nodes, *rate, *duration)

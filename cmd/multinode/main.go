@@ -39,28 +39,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	c.Positive("nodes", "gpus-per-node")
 	c.NonNegative("batches", "batchsize")
 	return c.Run(args, func(ctx context.Context) error {
-		opts := experiments.MultiNodeOptions{
-			MaxNodes:      *nodes,
-			GPUsPerNode:   *gpusPerNode,
+		opts := experiments.Options{
+			GPUs:          *gpusPerNode,
+			Nodes:         *nodes,
 			Batches:       *batches,
 			BatchSize:     *batchSize,
-			Backend:       *backend,
+			Backends:      []string{*backend},
 			WirePrecision: *prec,
 			Parallel:      c.Workers(),
 		}
-		var results []*experiments.MultiNodeResult
+		var results []*experiments.ScalingResult
 		for _, kind := range []experiments.ScalingKind{experiments.WeakScaling, experiments.StrongScaling} {
-			res, err := experiments.RunMultiNode(ctx, kind, opts)
+			res, err := experiments.RunScaling(ctx, kind, opts)
 			if err != nil {
 				return err
 			}
 			results = append(results, res)
 		}
 		for _, res := range results {
-			if err := c.Table("", res.ScalingTable()); err != nil {
+			if err := c.Table("", res.MultiNodeTable()); err != nil {
 				return err
 			}
-			if err := c.Table("", res.CommTable()); err != nil {
+			if err := c.Table("", res.MultiNodeCommTable()); err != nil {
 				return err
 			}
 		}

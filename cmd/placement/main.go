@@ -48,14 +48,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	c.Positive("gpus", "batches", "every", "hot")
 	return c.Run(args, func(ctx context.Context) error {
 		opts := experiments.PlacementOptions{
+			Options:        experiments.Options{GPUs: *gpus, Batches: *batches, Backends: *backends, Parallel: c.Workers()},
 			Policies:       *policies,
 			ZipfExponents:  *zipf,
-			Backends:       *backends,
-			GPUs:           *gpus,
-			Batches:        *batches,
 			RebalanceEvery: *every,
 			HotTables:      *hot,
-			Parallel:       c.Workers(),
 		}
 		fmt.Fprintf(stdout, "== Placement sweep (%d GPUs, %d batches, rebalance every %d, %d mirrors) ==\n",
 			*gpus, *batches, *every, *hot)

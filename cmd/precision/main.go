@@ -39,13 +39,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	c.Positive("nodes", "gpus-per-node")
 	c.NonNegative("batches", "batchsize")
 	return c.Run(args, func(ctx context.Context) error {
-		res, err := experiments.RunPrecision(ctx, experiments.PrecisionOptions{
-			Nodes:       *nodes,
-			GPUsPerNode: *gpusPerNode,
-			Batches:     *batches,
-			BatchSize:   *batchSize,
-			Backends:    *backends,
-			Parallel:    c.Workers(),
+		res, err := experiments.RunPrecision(ctx, experiments.Options{
+			GPUs:      *gpusPerNode,
+			Nodes:     *nodes,
+			Batches:   *batches,
+			BatchSize: *batchSize,
+			Backends:  *backends,
+			Parallel:  c.Workers(),
 		})
 		if err != nil {
 			return err

@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	return c.Run(args, func(ctx context.Context) error {
 		bench := experiments.NewBench()
-		opts := experiments.Options{Batches: *batches, Backend: *backend, Dedup: *dedup, Parallel: c.Workers(), Bench: bench}
+		opts := experiments.Options{Batches: *batches, Backends: []string{*backend}, Dedup: *dedup, Parallel: c.Workers(), Bench: bench}
 
 		fmt.Fprintln(stdout, "== Weak scaling (Table 1, Figures 5-6) ==")
 		weak, err := experiments.RunScaling(ctx, experiments.WeakScaling, opts)

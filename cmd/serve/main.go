@@ -64,18 +64,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	return c.Run(args, func(ctx context.Context) error {
 		opts := experiments.ServingOptions{
+			Options: experiments.Options{
+				GPUs: *gpus, Backends: *backends, Dedup: *dedup, WirePrecision: *prec, Parallel: c.Workers(),
+			},
 			Rates:          *rates,
 			CacheFractions: *cacheFracs,
-			Backends:       *backends,
-			GPUs:           *gpus,
 			Duration:       duration.Seconds(),
 			Serve:          serve.Config{Arrival: arr, Seed: *seed},
 			PipelineDepth:  *pipeline,
-			WirePrecision:  *prec,
-			Parallel:       c.Workers(),
-		}
-		if *dedup {
-			opts.Dedups = []bool{false, true}
 		}
 		fmt.Fprintf(stdout, "== Online serving sweep (%d GPUs, %s arrivals, %v simulated per point) ==\n",
 			*gpus, arr, *duration)

@@ -22,7 +22,7 @@ import (
 	"os"
 
 	"pgasemb/internal/cli"
-	"pgasemb/internal/dlrm"
+	"pgasemb/internal/experiments"
 	"pgasemb/internal/retrieval"
 )
 
@@ -115,49 +115,46 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else {
 			fmt.Fprintf(stdout, "%-16s  %-12s  %-12s  %-8s\n", "point", "baseline", "pgas-fused", "speedup")
 		}
+		emit := func(label string, base, pgas float64) {
+			if *csv {
+				fmt.Fprintf(stdout, "%s,%.6f,%.6f,%.3f\n", label, base, pgas, base/pgas)
+			} else {
+				fmt.Fprintf(stdout, "%-16s  %10.2fms  %10.2fms  %7.2fx\n", label, base*1e3, pgas*1e3, base/pgas)
+			}
+		}
+		if *axis == "pipeline" {
+			// The pipelining win only exists against dense compute, so this
+			// axis times the full DLRM pipeline at each point's depth.
+			depths := make([]int, len(pts))
+			for i, pt := range pts {
+				depths[i] = pt.cfg.PipelineDepth
+			}
+			res, err := experiments.RunPipelineDepth(ctx, *gpus, depths, experiments.Options{Batches: *batches})
+			if err != nil {
+				return err
+			}
+			for i, pt := range pts {
+				emit(pt.label, float64(res[i].Total), float64(res[len(pts)+i].Total))
+			}
+			return nil
+		}
 		for _, pt := range pts {
 			cfg := pt.cfg
 			cfg.Batches = *batches
 			var times [2]float64
 			for i, backend := range []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}} {
-				var err error
-				if times[i], err = runPoint(ctx, *axis, cfg, backend); err != nil {
+				sys, err := retrieval.NewSystem(cfg, retrieval.DefaultHardware())
+				if err != nil {
 					return fmt.Errorf("%s: %w", pt.label, err)
 				}
+				res, err := sys.RunContext(ctx, backend)
+				if err != nil {
+					return fmt.Errorf("%s: %w", pt.label, err)
+				}
+				times[i] = res.TotalTime
 			}
-			if *csv {
-				fmt.Fprintf(stdout, "%s,%.6f,%.6f,%.3f\n", pt.label, times[0], times[1], times[0]/times[1])
-			} else {
-				fmt.Fprintf(stdout, "%-16s  %10.2fms  %10.2fms  %7.2fx\n",
-					pt.label, times[0]*1e3, times[1]*1e3, times[0]/times[1])
-			}
+			emit(pt.label, times[0], times[1])
 		}
 		return nil
 	})
-}
-
-// runPoint returns one backend's total simulated time at one sweep point.
-func runPoint(ctx context.Context, axis string, cfg retrieval.Config, backend retrieval.Backend) (float64, error) {
-	if axis == "pipeline" {
-		// The pipelining win only exists against dense compute, so this
-		// axis times the full DLRM pipeline.
-		pl, err := dlrm.NewPipeline(cfg, retrieval.DefaultHardware(), backend)
-		if err != nil {
-			return 0, err
-		}
-		res, err := pl.RunContext(ctx)
-		if err != nil {
-			return 0, err
-		}
-		return float64(res.TotalTime), nil
-	}
-	sys, err := retrieval.NewSystem(cfg, retrieval.DefaultHardware())
-	if err != nil {
-		return 0, err
-	}
-	res, err := sys.RunContext(ctx, backend)
-	if err != nil {
-		return 0, err
-	}
-	return res.TotalTime, nil
 }

@@ -44,3 +44,8 @@ func TestSweepDimPointsFitMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenPipeline pins the pipeline-depth axis's stdout.
+func TestGoldenPipeline(t *testing.T) {
+	clitest.Golden(t, "pipeline", run, "-axis", "pipeline", "-gpus", "2", "-batches", "2")
+}

@@ -38,7 +38,7 @@ func ExampleNewSystem() {
 // ExampleRunScaling regenerates the headline of the paper's Table 1 at
 // reduced batch count.
 func ExampleRunScaling() {
-	res, err := pgasemb.RunScaling(pgasemb.WeakScaling, pgasemb.ExperimentOptions{Batches: 2, MaxGPUs: 2})
+	res, err := pgasemb.RunScaling(pgasemb.WeakScaling, pgasemb.ExperimentOptions{Batches: 2, GPUs: 2})
 	if err != nil {
 		panic(err)
 	}

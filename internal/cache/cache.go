@@ -155,9 +155,6 @@ func (c *Cache) Len() int { return c.used }
 // dispatches.
 func (c *Cache) SetFrozen(frozen bool) { c.frozen = frozen }
 
-// Frozen reports whether admissions are currently refused.
-func (c *Cache) Frozen() bool { return c.frozen }
-
 // Stats returns the cache's counters so far.
 func (c *Cache) Stats() metrics.CacheCounters { return c.stats }
 

@@ -5,7 +5,10 @@ package clitest
 
 import (
 	"bytes"
+	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -82,5 +85,34 @@ func Check(t *testing.T, name string, run func(args []string, stdout, stderr io.
 		case stdout.Len() > 0:
 			t.Errorf("%s %q: printed %q before rejecting its flags", name, args, stdout.String())
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/ instead of comparing")
+
+// Golden runs the command with args and compares its stdout byte for byte
+// with the file testdata/<name>.golden; -update rewrites the file instead.
+func Golden(t *testing.T, name string, run func(args []string, stdout, stderr io.Writer) int, args ...string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("%q: exit %d: %s", args, code, stderr.String())
+	}
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run the test with -update to record it)", err)
+	}
+	if got := stdout.String(); got != string(want) {
+		t.Errorf("%q: stdout differs from %s\n--- got\n%s--- want\n%s", args, path, got, want)
 	}
 }

@@ -21,7 +21,7 @@ type AblationResult struct {
 // isolated contribution. All five backends run concurrently from one shared
 // spec.
 func RunAblations(ctx context.Context, gpus int, opts Options) ([]AblationResult, error) {
-	spec, err := retrieval.NewSystemSpec(opts.apply(retrieval.WeakScalingConfig(gpus)), opts.hardware())
+	spec, err := retrieval.NewSystemSpec(opts.config(retrieval.WeakScalingConfig(gpus)), opts.hardware(0))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ablations: %w", err)
 	}
@@ -35,22 +35,18 @@ func RunAblations(ctx context.Context, gpus int, opts Options) ([]AblationResult
 			MaxWait:    100 * sim.Microsecond,
 		}},
 	}
-	out := make([]AblationResult, len(backends))
-	stop := opts.Bench.Start(fmt.Sprintf("ablations-%dgpu", gpus), opts.parallel())
-	err = forEach(ctx, opts.parallel(), len(backends), func(i int) error {
-		b := backends[i]
-		r, err := runSpec(ctx, spec, b, spec.Config().Seed, opts.Bench)
-		if err != nil {
-			return fmt.Errorf("experiments: ablations, %s: %w", b.Name(), err)
-		}
-		out[i] = AblationResult{Name: r.Backend, TotalTime: r.TotalTime}
-		return nil
-	})
-	stop()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return sweep(ctx, opts, fmt.Sprintf("ablations-%dgpu", gpus), backends,
+		func(ctx context.Context, b retrieval.Backend) (AblationResult, error) {
+			sys, err := spec.NewRun()
+			if err != nil {
+				return AblationResult{}, err
+			}
+			r, err := sys.RunContext(ctx, b)
+			if err != nil {
+				return AblationResult{}, fmt.Errorf("%s: %w", b.Name(), err)
+			}
+			return AblationResult{Name: r.Backend, TotalTime: r.TotalTime}, nil
+		})
 }
 
 // AblationTable renders ablation results with speedups over the first

@@ -13,7 +13,11 @@ import (
 
 // ChaosOptions tunes the resilience sweep: backend × fault profile × replica
 // count, each point one full serving simulation under that fault schedule.
+// Options.GPUs sizes the machine unless Base is set, Options.Nodes > 0 joins
+// nodes over the NIC fabric, and Options.Backends defaults to baseline and
+// pgas-fused; the sweep overwrites the hardware's Faults field.
 type ChaosOptions struct {
+	Options
 	// Profiles names the fault profiles to sweep (see fault.Profiles).
 	// Default: none, flaky-link, straggler — the profiles that bite on a
 	// single-node machine. NIC and proxy profiles need Nodes > 0 to have any
@@ -21,15 +25,7 @@ type ChaosOptions struct {
 	Profiles []string
 	// Replicas are the shard replication factors to sweep (default {1, 2}).
 	Replicas []int
-	// Backends names the registered backends to sweep, each resolved to a
-	// fresh instance per point (default baseline and pgas-fused).
-	Backends []string
-	// GPUs sizes the machine (default 4). Ignored when Base is set.
-	GPUs int
-	// Nodes composes the machine from NVLink islands joined by the NIC
-	// fabric (0 = single node). Ignored when HW is set.
-	Nodes int
-	// Rate is the arrival rate in requests/second (default 2000).
+	// Rate is the arrival rate in requests/second (default 4000).
 	Rate float64
 	// Duration is each point's arrival window (default 1 simulated second).
 	Duration sim.Duration
@@ -37,20 +33,12 @@ type ChaosOptions struct {
 	// retrieval.ServingScaleConfig(GPUs)); its Replicas field is overwritten
 	// by the sweep. Replication requires CacheFraction == 0 and Dedup off.
 	Base *retrieval.Config
-	// HW selects the hardware model (nil = calibrated defaults, clustered
-	// when Nodes > 0); its Faults field is overwritten by the sweep.
-	HW *retrieval.HardwareParams
 	// Serve carries the batching knobs and the degraded-serving policy; Rate
 	// and Duration are overwritten by the sweep. A zero-valued Degrade
 	// selects DefaultDegradePolicy so the sweep exercises the degradation
 	// machinery; pass a policy with only QueueTimeout < 0 semantics via the
 	// serve package directly if a truly inert policy is wanted.
 	Serve serve.Config
-	// Parallel bounds concurrently executed points (0 = GOMAXPROCS).
-	// Results are identical for every value.
-	Parallel int
-	// Bench, when set, records the sweep's wall-clock time.
-	Bench *Bench
 }
 
 // DefaultDegradePolicy is the degraded-serving policy the chaos sweep applies
@@ -64,59 +52,6 @@ func DefaultDegradePolicy() serve.DegradePolicy {
 		ShedAt:          0.6,
 		StaleCacheServe: true,
 	}
-}
-
-func (o ChaosOptions) profiles() []string {
-	if len(o.Profiles) > 0 {
-		return o.Profiles
-	}
-	return []string{"none", "flaky-link", "straggler"}
-}
-
-func (o ChaosOptions) replicas() []int {
-	if len(o.Replicas) > 0 {
-		return o.Replicas
-	}
-	return []int{1, 2}
-}
-
-func (o ChaosOptions) base() retrieval.Config {
-	if o.Base != nil {
-		return *o.Base
-	}
-	gpus := o.GPUs
-	if gpus <= 0 {
-		gpus = 4
-	}
-	return retrieval.ServingScaleConfig(gpus)
-}
-
-func (o ChaosOptions) hardware() retrieval.HardwareParams {
-	if o.HW != nil {
-		return *o.HW
-	}
-	if o.Nodes > 0 {
-		return retrieval.ClusterHardware(o.Nodes)
-	}
-	return retrieval.DefaultHardware()
-}
-
-func (o ChaosOptions) rate() float64 {
-	if o.Rate > 0 {
-		return o.Rate
-	}
-	return 4000
-}
-
-func (o ChaosOptions) duration() sim.Duration {
-	if o.Duration > 0 {
-		return o.Duration
-	}
-	return 1 * sim.Second
-}
-
-func (o ChaosOptions) parallel() int {
-	return Options{Parallel: o.Parallel}.parallel()
 }
 
 // ChaosPoint is one (backend, fault profile, replica count) serving run.
@@ -148,64 +83,47 @@ type ChaosResult struct {
 }
 
 // RunChaos executes the resilience sweep. Every grid point owns its server,
-// so points are independent and dispatch freely onto the worker pool;
-// results land in an index-addressed slice, byte-identical at any
-// parallelism.
+// so points are independent.
 func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
-	profiles := opts.profiles()
-	replicas := opts.replicas()
-	backends := sweepBackends(opts.Backends)
-	base := opts.base()
-	hw := opts.hardware()
+	profiles := listOr(opts.Profiles, []string{"none", "flaky-link", "straggler"})
+	replicas := listOr(opts.Replicas, []int{1, 2})
 	for _, r := range replicas {
 		if r < 1 {
 			return nil, fmt.Errorf("experiments: chaos sweep replica count %d must be >= 1", r)
 		}
 	}
-	res := &ChaosResult{Profiles: profiles, Replicas: replicas}
-	res.Points = make([]ChaosPoint, len(backends)*len(profiles)*len(replicas))
-
-	stop := opts.Bench.Start("chaos", opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(res.Points), func(i int) error {
-		ri := i % len(replicas)
-		pi := i / len(replicas) % len(profiles)
-		bi := i / (len(replicas) * len(profiles))
-		backend, err := retrieval.NewBackendByName(backends[bi])
-		if err != nil {
-			return fmt.Errorf("experiments: chaos sweep: %w", err)
+	var cells []ChaosPoint
+	for _, backend := range listOr(opts.Backends, defaultBackends) {
+		for _, profile := range profiles {
+			for _, r := range replicas {
+				cells = append(cells, ChaosPoint{Backend: backend, Profile: profile, Replicas: r})
+			}
 		}
-		profile := profiles[pi]
-
+	}
+	base := servingBase(opts.Base, opts.Options)
+	hw := opts.hardware(opts.Nodes)
+	scfg := opts.Serve
+	scfg.Rate = positiveOr(opts.Rate, 4000)
+	scfg.Duration = positiveOr(opts.Duration, sim.Second)
+	if scfg.Degrade == (serve.DegradePolicy{}) {
+		scfg.Degrade = DefaultDegradePolicy()
+	}
+	points, err := sweep(ctx, opts.Options, "chaos", cells, func(ctx context.Context, c ChaosPoint) (ChaosPoint, error) {
 		cfg := base
-		cfg.Replicas = replicas[ri]
+		cfg.Replicas = c.Replicas
 		phw := hw
-		sched, err := fault.Profile(profile, cfg.Seed)
+		var err error
+		if phw.Faults, err = fault.Profile(c.Profile, cfg.Seed); err != nil {
+			return c, err
+		}
+		r, err := serveRun(ctx, c.Backend, cfg, phw, scfg)
 		if err != nil {
-			return fmt.Errorf("experiments: chaos sweep: %w", err)
+			return c, fmt.Errorf("%s profile %s replicas %d: %w", c.Backend, c.Profile, c.Replicas, err)
 		}
-		phw.Faults = sched
-		scfg := opts.Serve
-		scfg.Rate = opts.rate()
-		scfg.Duration = opts.duration()
-		if scfg.Degrade == (serve.DegradePolicy{}) {
-			scfg.Degrade = DefaultDegradePolicy()
-		}
-		fail := func(err error) error {
-			return fmt.Errorf("experiments: chaos, %s profile %s replicas %d: %w",
-				backend.Name(), profile, cfg.Replicas, err)
-		}
-		srv, err := serve.NewServer(cfg, phw, backend, scfg)
-		if err != nil {
-			return fail(err)
-		}
-		r, err := srv.RunContext(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		res.Points[i] = ChaosPoint{
+		return ChaosPoint{
 			Backend:      r.Backend,
-			Profile:      profile,
-			Replicas:     cfg.Replicas,
+			Profile:      c.Profile,
+			Replicas:     c.Replicas,
 			Offered:      r.Offered,
 			Completed:    r.Completed,
 			Dropped:      r.Dropped,
@@ -214,14 +132,12 @@ func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 			P50:          r.Percentile(50),
 			P99:          r.Percentile(99),
 			Goodput:      r.Goodput(),
-		}
-		return nil
+		}, nil
 	})
-	stop()
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &ChaosResult{Profiles: profiles, Replicas: replicas, Points: points}, nil
 }
 
 // Table renders the sweep.

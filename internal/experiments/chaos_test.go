@@ -14,13 +14,12 @@ func chaosTestOptions() ChaosOptions {
 	base := servingTestBase()
 	hw := servingTestHW()
 	return ChaosOptions{
+		Options:  Options{Backends: []string{"baseline", "pgas-fused"}, HW: &hw},
 		Profiles: []string{"none", "straggler"},
 		Replicas: []int{1, 2},
-		Backends: []string{"baseline", "pgas-fused"},
 		Rate:     2400,
 		Duration: 200 * sim.Millisecond,
 		Base:     &base,
-		HW:       &hw,
 		Serve:    serve.Config{MaxWait: 2 * sim.Millisecond},
 	}
 }

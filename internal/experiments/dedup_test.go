@@ -81,13 +81,11 @@ func TestServingDedupAxisDeterministicAcrossParallelism(t *testing.T) {
 	base.ZipfExponent = 1.5
 	hw := servingTestHW()
 	opts := ServingOptions{
+		Options:        Options{Backends: []string{"pgas-fused"}, Dedup: true, HW: &hw},
 		Rates:          []float64{2000},
 		CacheFractions: []float64{0, 0.01},
-		Dedups:         []bool{false, true},
-		Backends:       []string{"pgas-fused"},
 		Duration:       200 * sim.Millisecond,
 		Base:           &base,
-		HW:             &hw,
 		Serve:          serve.Config{MaxWait: 2 * sim.Millisecond},
 	}
 	var renders []string

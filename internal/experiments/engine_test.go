@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"pgasemb/internal/sim"
 )
 
 func TestForEachRunsEveryIndexOnce(t *testing.T) {
@@ -94,7 +96,7 @@ func TestForEachHonoursCancelledContext(t *testing.T) {
 
 // fastOpts keeps the engine determinism sweeps quick.
 func fastOpts(parallel int) Options {
-	return Options{Batches: 2, MaxGPUs: 3, Parallel: parallel}
+	return Options{Batches: 2, GPUs: 3, Parallel: parallel}
 }
 
 // TestParallelScalingMatchesSerial is the engine's core guarantee: the
@@ -209,34 +211,94 @@ func TestBenchRecordsExperiments(t *testing.T) {
 	}
 }
 
-// The pipeline-depth sweep drives dlrm pipelines rather than retrieval runs;
-// every one of them must still land in the experiment's bench record.
-func TestBenchRecordsPipelineDepthRuns(t *testing.T) {
-	b := NewBench()
-	opts := fastOpts(2)
-	opts.Bench = b
-	depths := []int{1, 2}
-	points, err := RunPipelineDepth(context.Background(), 2, depths, opts)
-	if err != nil {
-		t.Fatal(err)
+// Every runner records one experiment whose run count equals its number of
+// points — the dlrm-pipeline and serving sweeps included, whose points are
+// not retrieval runs.
+func TestBenchRecordsRunsPerPoint(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name string
+		want string
+		// run executes the sweep and returns its number of points.
+		run func(opts Options) (int, error)
+	}{
+		{"scaling", "weak-scaling", func(o Options) (int, error) {
+			r, err := RunScaling(ctx, WeakScaling, o)
+			return 2 * len(r.Points), err
+		}},
+		{"multinode", "multinode-strong-scaling", func(o Options) (int, error) {
+			o.Nodes, o.GPUs, o.Batches = 2, 2, 1
+			r, err := RunScaling(ctx, StrongScaling, o)
+			return 2 * len(r.Points), err
+		}},
+		{"commvolume", "weak-commvolume-2gpu", func(o Options) (int, error) {
+			_, err := RunCommVolume(ctx, WeakScaling, 2, 10, o)
+			return 2, err
+		}},
+		{"stats", "weak-scaling-stats", func(o Options) (int, error) {
+			s, err := RunScalingStats(ctx, WeakScaling, 2, o)
+			return 2 * 2 * len(s), err
+		}},
+		{"ablations", "ablations-2gpu", func(o Options) (int, error) {
+			r, err := RunAblations(ctx, 2, o)
+			return len(r), err
+		}},
+		{"pipeline-depth", "pipeline-depth-2gpu", func(o Options) (int, error) {
+			r, err := RunPipelineDepth(ctx, 2, []int{1, 2}, o)
+			return len(r), err
+		}},
+		{"serving", "serving", func(o Options) (int, error) {
+			base, hw := servingTestBase(), servingTestHW()
+			o.HW = &hw
+			r, err := RunServing(ctx, ServingOptions{Options: o, Rates: []float64{2000},
+				CacheFractions: []float64{0, 0.01}, Duration: 50 * sim.Millisecond, Base: &base})
+			return len(r.Points), err
+		}},
+		{"chaos", "chaos", func(o Options) (int, error) {
+			co := chaosTestOptions()
+			co.Parallel, co.Bench = o.Parallel, o.Bench
+			co.Profiles, co.Duration = []string{"none"}, 50*sim.Millisecond
+			r, err := RunChaos(ctx, co)
+			return len(r.Points), err
+		}},
+		{"placement", "placement", func(o Options) (int, error) {
+			po := placementTestOptions()
+			po.Parallel, po.Bench = o.Parallel, o.Bench
+			po.Policies = []string{"static", "adaptive"}
+			r, err := RunPlacement(ctx, po)
+			return len(r.Points), err
+		}},
+		{"precision", "precision-sweep", func(o Options) (int, error) {
+			o.Nodes, o.GPUs, o.Batches = 2, 2, 1
+			o.Backends = []string{"baseline"}
+			r, err := RunPrecision(ctx, o)
+			return len(r.Points) + len(precisionSweep), err
+		}},
 	}
-	backends := len(points) / len(depths)
-	if backends != 2 {
-		t.Fatalf("sweep returned %d points, want 2 backends x %d depths", len(points), len(depths))
-	}
-	rep := b.Report()
-	if len(rep.Experiments) != 1 {
-		t.Fatalf("recorded %d experiments, want 1", len(rep.Experiments))
-	}
-	e := rep.Experiments[0]
-	if e.Name != "pipeline-depth-2gpu" {
-		t.Fatalf("experiment record %+v", e)
-	}
-	if e.Runs != backends*len(depths) {
-		t.Fatalf("recorded %d runs, want %d (backends x depths)", e.Runs, backends*len(depths))
-	}
-	if e.RunSeconds <= 0 || e.Speedup <= 0 {
-		t.Fatalf("run timings not recorded: %+v", e)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewBench()
+			opts := fastOpts(2)
+			opts.BatchSize, opts.Bench = 1024, b
+			points, err := c.run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := b.Report()
+			if len(rep.Experiments) != 1 {
+				t.Fatalf("recorded %d experiments, want 1", len(rep.Experiments))
+			}
+			e := rep.Experiments[0]
+			if e.Name != c.want || e.Parallel != 2 {
+				t.Fatalf("experiment record %+v, want name %q at parallel 2", e, c.want)
+			}
+			if e.Runs != points {
+				t.Fatalf("recorded %d runs, want one per point (%d)", e.Runs, points)
+			}
+			if e.WallSeconds <= 0 || e.RunSeconds <= 0 {
+				t.Fatalf("timings not recorded: %+v", e)
+			}
+		})
 	}
 }
 

@@ -47,82 +47,20 @@ func (k ScalingKind) Config(gpus int) retrieval.Config {
 	return retrieval.StrongScalingConfig(gpus)
 }
 
-// Options tunes an experiment run.
-type Options struct {
-	// MaxGPUs bounds the sweep (paper: 4).
-	MaxGPUs int
-	// Batches overrides the per-run batch count (0 = paper's 100).
-	Batches int
-	// BatchSize overrides the per-run batch size (0 = the configuration's).
-	// Mainly for tests: the paper-scale batch makes index-level passes
-	// (dedup classification) expensive.
-	BatchSize int
-	// HW selects the hardware model (zero value = calibrated defaults).
-	HW *retrieval.HardwareParams
-	// Backend names the registered backend occupying the accelerated slot
-	// of every sweep — the "PGAS" column of the rendered tables. Empty
-	// means "pgas-fused"; the comparison slot always runs the baseline.
-	Backend string
-	// Dedup adds the batch-level index-deduplication axis: every scaling
-	// point runs each backend twice, with deduplication off and on, and the
-	// rendered tables grow the dedup columns.
-	Dedup bool
-	// Parallel bounds the number of simulation runs executed concurrently
-	// (0 = GOMAXPROCS). Results are identical for every value; only
-	// wall-clock time changes.
-	Parallel int
-	// Bench, when set, records each experiment's wall-clock time and the
-	// host time of every simulation run.
-	Bench *Bench
+// clusterConfig builds a multi-node sweep point's configuration.
+func (k ScalingKind) clusterConfig(nodes, gpusPerNode int) retrieval.Config {
+	if k == WeakScaling {
+		return retrieval.MultiNodeConfig(nodes, gpusPerNode)
+	}
+	return retrieval.MultiNodeStrongConfig(nodes, gpusPerNode)
 }
 
-func (o Options) maxGPUs() int {
-	if o.MaxGPUs <= 0 {
-		return 4
-	}
-	return o.MaxGPUs
-}
-
-func (o Options) hardware() retrieval.HardwareParams {
-	if o.HW != nil {
-		return *o.HW
-	}
-	return retrieval.DefaultHardware()
-}
-
-// pgasBackend resolves Options.Backend through the backend registry; a
-// fresh instance is built per call so concurrent runs never share one.
-func (o Options) pgasBackend() (retrieval.Backend, error) {
-	name := o.Backend
-	if name == "" {
-		name = "pgas-fused"
-	}
-	return retrieval.NewBackendByName(name)
-}
-
-// sweepBackends is the backend axis of the serving, chaos and placement
-// sweeps: the given registry names, or baseline and pgas-fused. Each point
-// resolves its name to a fresh instance, as pgasBackend does.
-func sweepBackends(names []string) []string {
-	if len(names) > 0 {
-		return names
-	}
-	return []string{"baseline", "pgas-fused"}
-}
-
-func (o Options) apply(cfg retrieval.Config) retrieval.Config {
-	if o.Batches > 0 {
-		cfg.Batches = o.Batches
-	}
-	if o.BatchSize > 0 {
-		cfg.BatchSize = o.BatchSize
-	}
-	return cfg
-}
-
-// ScalingPoint holds one GPU count's pair of runs. When the sweep carries
+// ScalingPoint holds one machine size's pair of runs. When the sweep carries
 // the dedup axis (Options.Dedup), the dedup-enabled runs ride along.
 type ScalingPoint struct {
+	// Nodes is the point's node count (0 on a single-node sweep); GPUs its
+	// total GPU count.
+	Nodes    int
 	GPUs     int
 	Baseline *retrieval.Result
 	PGAS     *retrieval.Result
@@ -144,83 +82,63 @@ func (p ScalingPoint) DedupSpeedup() float64 {
 	return metrics.Speedup(p.BaselineDedup.TotalTime, p.PGASDedup.TotalTime)
 }
 
-// ScalingResult is a full sweep over GPU counts.
+// ScalingResult is a full sweep over GPU counts, or over node counts on a
+// cluster.
 type ScalingResult struct {
 	Kind ScalingKind
+	// GPUsPerNode is the node size of a multi-node sweep (0 on one node).
+	GPUsPerNode int
 	// Dedup reports whether the sweep carried the dedup on/off axis.
 	Dedup  bool
 	Points []ScalingPoint
 }
 
-// RunScaling executes the weak- or strong-scaling sweep with both backends.
-// The sweep's runs (baseline and PGAS at every GPU count, ×2 when the dedup
-// axis is on) dispatch onto the worker pool; each (GPU count, dedup)
-// combination shares one immutable spec, and results land in an
-// index-addressed slice so the tables are byte-identical at any Parallel.
+// RunScaling executes the weak- or strong-scaling sweep with both backends:
+// over GPU counts 1..GPUs on one node, or — when Options.Nodes is set — over
+// node counts 1..Nodes of GPUs each, the paper's §V future-work setting,
+// with the baseline on hierarchical collectives and PGAS on the
+// proxy-coalesced inter-node path. Every (machine, dedup) combination shares
+// one immutable spec between its baseline and accelerated runs.
 func RunScaling(ctx context.Context, kind ScalingKind, opts Options) (*ScalingResult, error) {
-	hw := opts.hardware()
-	maxGPUs := opts.maxGPUs()
-	perPoint := 2
-	if opts.Dedup {
-		perPoint = 4
-	}
-	specs := make([]*retrieval.SystemSpec, maxGPUs+1)
-	dedupSpecs := make([]*retrieval.SystemSpec, maxGPUs+1)
-	for gpus := 1; gpus <= maxGPUs; gpus++ {
-		cfg := opts.apply(kind.Config(gpus))
-		spec, err := retrieval.NewSystemSpec(cfg, hw)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s scaling, %d GPUs: %w", kind, gpus, err)
-		}
-		specs[gpus] = spec
-		if opts.Dedup {
-			cfg.Dedup = true
-			dspec, err := retrieval.NewSystemSpec(cfg, hw)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s scaling, %d GPUs, dedup: %w", kind, gpus, err)
-			}
-			dedupSpecs[gpus] = dspec
-		}
-	}
-	results := make([]*retrieval.Result, perPoint*maxGPUs)
-	stop := opts.Bench.Start(fmt.Sprintf("%s-scaling", kind), opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(results), func(i int) error {
-		gpus := i/perPoint + 1
-		slot := i % perPoint
-		var backend retrieval.Backend = &retrieval.Baseline{}
-		if slot%2 == 1 {
-			var berr error
-			if backend, berr = opts.pgasBackend(); berr != nil {
-				return fmt.Errorf("experiments: %w", berr)
-			}
-		}
-		spec := specs[gpus]
-		if slot >= 2 {
-			spec = dedupSpecs[gpus]
-		}
-		r, err := runSpec(ctx, spec, backend, spec.Config().Seed, opts.Bench)
-		if err != nil {
-			return fmt.Errorf("experiments: %s scaling, %d GPUs, %s: %w", kind, gpus, backend.Name(), err)
-		}
-		results[i] = r
-		return nil
-	})
-	stop()
+	accel, err := opts.accelerated()
 	if err != nil {
 		return nil, err
 	}
+	name, steps := fmt.Sprintf("%s-scaling", kind), opts.gpus()
 	res := &ScalingResult{Kind: kind, Dedup: opts.Dedup}
-	for gpus := 1; gpus <= maxGPUs; gpus++ {
-		p := ScalingPoint{
-			GPUs:     gpus,
-			Baseline: results[perPoint*(gpus-1)],
-			PGAS:     results[perPoint*(gpus-1)+1],
+	if opts.Nodes > 0 {
+		name, steps = "multinode-"+name, opts.Nodes
+		res.GPUsPerNode = opts.gpus()
+	}
+	var runs []specRun
+	for step := 1; step <= steps; step++ {
+		p, cfg := ScalingPoint{GPUs: step}, kind.Config(step)
+		if opts.Nodes > 0 {
+			p, cfg = ScalingPoint{Nodes: step, GPUs: step * res.GPUsPerNode}, kind.clusterConfig(step, res.GPUsPerNode)
 		}
-		if opts.Dedup {
-			p.BaselineDedup = results[perPoint*(gpus-1)+2]
-			p.PGASDedup = results[perPoint*(gpus-1)+3]
+		cfg, hw := opts.config(cfg), opts.hardware(p.Nodes)
+		for _, dedup := range opts.dedups() {
+			if dedup {
+				cfg.Dedup = true
+			}
+			spec, err := retrieval.NewSystemSpec(cfg, hw)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s, %d nodes, %d GPUs, dedup %v: %w", name, p.Nodes, p.GPUs, dedup, err)
+			}
+			runs = append(runs, pair(spec, accel)...)
 		}
 		res.Points = append(res.Points, p)
+	}
+	results, err := sweep(ctx, opts, name, runs, runSpec)
+	if err != nil {
+		return nil, err
+	}
+	for i := range res.Points {
+		p := &res.Points[i]
+		p.Baseline, p.PGAS, results = results[0], results[1], results[2:]
+		if opts.Dedup {
+			p.BaselineDedup, p.PGASDedup, results = results[0], results[1], results[2:]
+		}
 	}
 	return res, nil
 }
@@ -283,15 +201,6 @@ func (r *ScalingResult) BreakdownSeries(component string) []float64 {
 	return out
 }
 
-// PGASTotals returns the PGAS total runtime per GPU count.
-func (r *ScalingResult) PGASTotals() []float64 {
-	var out []float64
-	for _, p := range r.Points {
-		out = append(out, p.PGAS.TotalTime)
-	}
-	return out
-}
-
 // BaselineTotals returns the baseline total runtime per GPU count.
 func (r *ScalingResult) BaselineTotals() []float64 {
 	var out []float64
@@ -324,40 +233,25 @@ func RunCommVolume(ctx context.Context, kind ScalingKind, gpus, bins int, opts O
 	if gpus < 2 {
 		return nil, fmt.Errorf("experiments: communication profiling needs >= 2 GPUs")
 	}
-	if bins <= 0 {
-		bins = 120
-	}
-	spec, err := retrieval.NewSystemSpec(opts.apply(kind.Config(gpus)), opts.hardware())
+	accel, err := opts.accelerated()
 	if err != nil {
 		return nil, err
 	}
-	out := &CommVolumeResult{Kind: kind, GPUs: gpus, Bins: bins}
-	stop := opts.Bench.Start(fmt.Sprintf("%s-commvolume-%dgpu", kind, gpus), opts.parallel())
-	err = forEach(ctx, opts.parallel(), 2, func(i int) error {
-		var backend retrieval.Backend = &retrieval.Baseline{}
-		if i == 1 {
-			var berr error
-			if backend, berr = opts.pgasBackend(); berr != nil {
-				return fmt.Errorf("experiments: %w", berr)
-			}
-		}
-		r, err := runSpec(ctx, spec, backend, spec.Config().Seed, opts.Bench)
-		if err != nil {
-			return err
-		}
-		series := r.CommTrace.RateSeries(0, r.TotalTime, bins)
-		if i == 1 {
-			out.PGAS = series
-			out.PGASSpan = r.TotalTime
-		} else {
-			out.Baseline = series
-			out.BaselineSpan = r.TotalTime
-		}
-		return nil
-	})
-	stop()
+	spec, err := retrieval.NewSystemSpec(opts.config(kind.Config(gpus)), opts.hardware(0))
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	bins = positiveOr(bins, 120)
+	runs, err := sweep(ctx, opts, fmt.Sprintf("%s-commvolume-%dgpu", kind, gpus), pair(spec, accel), runSpec)
+	if err != nil {
+		return nil, err
+	}
+	base, pgas := runs[0], runs[1]
+	return &CommVolumeResult{
+		Kind: kind, GPUs: gpus, Bins: bins,
+		PGAS:         pgas.CommTrace.RateSeries(0, pgas.TotalTime, bins),
+		Baseline:     base.CommTrace.RateSeries(0, base.TotalTime, bins),
+		PGASSpan:     pgas.TotalTime,
+		BaselineSpan: base.TotalTime,
+	}, nil
 }

@@ -7,11 +7,11 @@ import (
 	"pgasemb/internal/retrieval"
 )
 
-func multiNodeTestOptions() MultiNodeOptions {
+func multiNodeTestOptions() Options {
 	// Full multi-node batch (the node-dedup win needs the cross-sample
 	// reuse of the real batch size), trimmed to 2 batches and 2 GPUs per
 	// node so the sweep stays test-sized.
-	return MultiNodeOptions{MaxNodes: 3, GPUsPerNode: 2, Batches: 2}
+	return Options{Nodes: 3, GPUs: 2, Batches: 2}
 }
 
 // The sweep's acceptance criteria: single-node results identical to the
@@ -20,22 +20,22 @@ func multiNodeTestOptions() MultiNodeOptions {
 // than the hierarchical baseline.
 func TestMultiNodeWeakScaling(t *testing.T) {
 	opts := multiNodeTestOptions()
-	res, err := RunMultiNode(context.Background(), WeakScaling, opts)
+	res, err := RunScaling(context.Background(), WeakScaling, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != opts.MaxNodes {
-		t.Fatalf("got %d points, want %d", len(res.Points), opts.MaxNodes)
+	if len(res.Points) != opts.Nodes {
+		t.Fatalf("got %d points, want %d", len(res.Points), opts.Nodes)
 	}
 
 	// 1 node: the fabric layer is present but carries nothing, and the
 	// result matches a plain single-node machine exactly.
-	p1 := res.Point(1)
+	p1 := res.Points[0]
 	if p1.Baseline.NICWireBytes != 0 || p1.PGAS.NICWireBytes != 0 {
 		t.Errorf("1-node sweep point moved NIC bytes: base %g, pgas %g",
 			p1.Baseline.NICWireBytes, p1.PGAS.NICWireBytes)
 	}
-	cfg := opts.config(WeakScaling, 1)
+	cfg := opts.config(retrieval.MultiNodeConfig(1, opts.GPUs))
 	for _, c := range []struct {
 		backend retrieval.Backend
 		got     *retrieval.Result
@@ -76,22 +76,22 @@ func TestMultiNodeWeakScaling(t *testing.T) {
 	}
 
 	// Tables render without panicking and carry one row per point.
-	if rows := len(res.ScalingTable().Rows); rows != opts.MaxNodes {
-		t.Errorf("scaling table has %d rows, want %d", rows, opts.MaxNodes)
+	if rows := len(res.MultiNodeTable().Rows); rows != opts.Nodes {
+		t.Errorf("scaling table has %d rows, want %d", rows, opts.Nodes)
 	}
-	if rows := len(res.CommTable().Rows); rows != opts.MaxNodes {
-		t.Errorf("comm table has %d rows, want %d", rows, opts.MaxNodes)
+	if rows := len(res.MultiNodeCommTable().Rows); rows != opts.Nodes {
+		t.Errorf("comm table has %d rows, want %d", rows, opts.Nodes)
 	}
 }
 
 func TestMultiNodeStrongScaling(t *testing.T) {
 	opts := multiNodeTestOptions()
-	opts.MaxNodes = 2
-	res, err := RunMultiNode(context.Background(), StrongScaling, opts)
+	opts.Nodes = 2
+	res, err := RunScaling(context.Background(), StrongScaling, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Point(2)
+	p := res.Points[1]
 	if p.PGAS.NICWireBytes >= p.Baseline.NICWireBytes {
 		t.Errorf("strong scaling, 2 nodes: PGAS NIC bytes %g not fewer than baseline %g",
 			p.PGAS.NICWireBytes, p.Baseline.NICWireBytes)
@@ -104,15 +104,15 @@ func TestMultiNodeStrongScaling(t *testing.T) {
 // The sweep must be byte-identical at any worker count.
 func TestMultiNodeParallelInvariance(t *testing.T) {
 	opts := multiNodeTestOptions()
-	opts.MaxNodes = 2
+	opts.Nodes = 2
 	opts.Batches = 1
 	opts.Parallel = 1
-	serial, err := RunMultiNode(context.Background(), WeakScaling, opts)
+	serial, err := RunScaling(context.Background(), WeakScaling, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parallel = 4
-	parallel, err := RunMultiNode(context.Background(), WeakScaling, opts)
+	parallel, err := RunScaling(context.Background(), WeakScaling, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

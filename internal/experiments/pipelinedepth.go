@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"pgasemb/internal/dlrm"
 	"pgasemb/internal/retrieval"
@@ -29,71 +28,54 @@ type PipelineDepthPoint struct {
 // RunPipelineDepth sweeps the inter-batch pipeline depth for the baseline
 // and the accelerated backend on the weak-scaling DLRM workload at the given
 // GPU count. Depth 1 is the serial schedule; deeper runs overlap the next
-// batch's EMB exchange with the current batch's dense tail. Every (backend,
-// depth) run is independent and dispatches onto the worker pool; results
-// land in an index-addressed slice, identical at any parallelism.
+// batch's EMB exchange with the current batch's dense tail. The points come
+// back backend-major, then in the given depth order.
 func RunPipelineDepth(ctx context.Context, gpus int, depths []int, opts Options) ([]PipelineDepthPoint, error) {
-	if len(depths) == 0 {
-		depths = []int{1, 2}
-	}
+	depths = listOr(depths, []int{1, 2})
 	for _, d := range depths {
 		if d < 1 {
 			return nil, fmt.Errorf("experiments: pipeline-depth sweep needs depths >= 1, got %d", d)
 		}
 	}
-	base := opts.apply(retrieval.WeakScalingConfig(gpus))
-	hw := opts.hardware()
-	type slot struct {
-		name  string
-		fresh func() (retrieval.Backend, error)
-	}
-	slots := []slot{
-		{"baseline", func() (retrieval.Backend, error) { return &retrieval.Baseline{}, nil }},
-		{"", opts.pgasBackend},
-	}
-	out := make([]PipelineDepthPoint, len(slots)*len(depths))
-	stop := opts.Bench.Start(fmt.Sprintf("pipeline-depth-%dgpu", gpus), opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(out), func(i int) error {
-		si := i / len(depths)
-		di := i % len(depths)
-		backend, err := slots[si].fresh()
-		if err != nil {
-			return fmt.Errorf("experiments: pipeline-depth sweep: %w", err)
-		}
-		cfg := base
-		cfg.PipelineDepth = depths[di]
-		pl, err := dlrm.NewPipeline(cfg, hw, backend)
-		if err != nil {
-			return fmt.Errorf("experiments: pipeline-depth sweep, %s depth %d: %w",
-				backend.Name(), depths[di], err)
-		}
-		start := time.Now()
-		r, err := pl.RunContext(ctx)
-		opts.Bench.noteRun(time.Since(start))
-		if err != nil {
-			return fmt.Errorf("experiments: pipeline-depth sweep, %s depth %d: %w",
-				backend.Name(), depths[di], err)
-		}
-		out[i] = PipelineDepthPoint{
-			Backend: r.Backend,
-			Depth:   depths[di],
-			Total:   r.TotalTime,
-			EMB:     r.EMBTime,
-			Dense:   r.DenseTime,
-			Stall:   r.EMBStall,
-		}
-		return nil
-	})
-	stop()
+	accel, err := opts.accelerated()
 	if err != nil {
 		return nil, err
 	}
-	// Speedups are relative to each backend's own shallowest run, so the
-	// column reads as "what deeper pipelining alone bought this backend".
-	for si := range slots {
-		ref := out[si*len(depths)].Total
-		for di := range depths {
-			out[si*len(depths)+di].Speedup = float64(ref / out[si*len(depths)+di].Total)
+	var points []PipelineDepthPoint
+	for _, name := range []string{"baseline", accel} {
+		for _, d := range depths {
+			points = append(points, PipelineDepthPoint{Backend: name, Depth: d})
+		}
+	}
+	base := opts.config(retrieval.WeakScalingConfig(gpus))
+	hw := opts.hardware(0)
+	out, err := sweep(ctx, opts, fmt.Sprintf("pipeline-depth-%dgpu", gpus), points,
+		func(ctx context.Context, p PipelineDepthPoint) (PipelineDepthPoint, error) {
+			backend, err := retrieval.NewBackendByName(p.Backend)
+			if err != nil {
+				return p, err
+			}
+			cfg := base
+			cfg.PipelineDepth = p.Depth
+			pl, err := dlrm.NewPipeline(cfg, hw, backend)
+			if err != nil {
+				return p, fmt.Errorf("%s depth %d: %w", p.Backend, p.Depth, err)
+			}
+			r, err := pl.RunContext(ctx)
+			if err != nil {
+				return p, fmt.Errorf("%s depth %d: %w", p.Backend, p.Depth, err)
+			}
+			return PipelineDepthPoint{Backend: r.Backend, Depth: p.Depth,
+				Total: r.TotalTime, EMB: r.EMBTime, Dense: r.DenseTime, Stall: r.EMBStall}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	// Speedups are relative to each backend's own first depth, so the column
+	// reads as "what deeper pipelining alone bought this backend".
+	for rest := out; len(rest) > 0; rest = rest[len(depths):] {
+		for i := range depths {
+			rest[i].Speedup = float64(rest[0].Total / rest[i].Total)
 		}
 	}
 	return out, nil

@@ -14,23 +14,20 @@ import (
 // workload whose per-feature pooling is graded (two dominant tables, two
 // mid-hot, flat tail) so table loads are skewed the way production
 // recommendation traffic is.
+//
+// Options.GPUs sizes the machine and Options.Batches sets each point's batch
+// count (default 48), both unless Base is set; Options.Backends defaults to
+// baseline and pgas-fused.
 type PlacementOptions struct {
+	Options
 	// Policies names the placement policies to sweep. Known: static (the
 	// table-wise contiguous plan), greedy (the analytic LPT plan over
 	// EXPECTED loads), adaptive (statistics-driven rebalancing), and
 	// adaptive+mirror (rebalancing plus top-K hot-table replication).
 	// Default: all four.
 	Policies []string
-	// Backends names the registered backends to sweep, each resolved to a
-	// fresh instance per point (default baseline and pgas-fused).
-	Backends []string
-	// GPUs sizes the machine (default 4). Ignored when Base is set.
-	GPUs int
 	// ZipfExponents are the row-skew settings to sweep (default {1.05, 1.2}).
 	ZipfExponents []float64
-	// Batches is each point's batch count (default 48). Ignored when Base is
-	// set.
-	Batches int
 	// RebalanceEvery is the adaptive policies' epoch length in batches
 	// (default 8).
 	RebalanceEvery int
@@ -40,45 +37,10 @@ type PlacementOptions struct {
 	// variant of ServingScaleConfig); its placement and Zipf fields are
 	// overwritten by the sweep.
 	Base *retrieval.Config
-	// HW selects the hardware model (nil = calibrated defaults).
-	HW *retrieval.HardwareParams
-	// Parallel bounds concurrently executed points (0 = GOMAXPROCS).
-	// Results are identical for every value.
-	Parallel int
-	// Bench, when set, records the sweep's wall-clock time.
-	Bench *Bench
 }
 
 // PlacementPolicies are the known policy names, in sweep order.
 var PlacementPolicies = []string{"static", "greedy", "adaptive", "adaptive+mirror"}
-
-func (o PlacementOptions) policies() []string {
-	if len(o.Policies) > 0 {
-		return o.Policies
-	}
-	return PlacementPolicies
-}
-
-func (o PlacementOptions) zipfs() []float64 {
-	if len(o.ZipfExponents) > 0 {
-		return o.ZipfExponents
-	}
-	return []float64{1.05, 1.2}
-}
-
-func (o PlacementOptions) rebalanceEvery() int {
-	if o.RebalanceEvery > 0 {
-		return o.RebalanceEvery
-	}
-	return 8
-}
-
-func (o PlacementOptions) hotTables() int {
-	if o.HotTables > 0 {
-		return o.HotTables
-	}
-	return 2
-}
 
 // base builds the sweep workload: ServingScaleConfig sized to the machine,
 // re-pooled so the first two tables dominate (max pooling 64), the next two
@@ -88,16 +50,9 @@ func (o PlacementOptions) base() retrieval.Config {
 	if o.Base != nil {
 		return *o.Base
 	}
-	gpus := o.GPUs
-	if gpus <= 0 {
-		gpus = 4
-	}
-	cfg := retrieval.ServingScaleConfig(gpus)
+	cfg := retrieval.ServingScaleConfig(o.gpus())
 	cfg.Functional = false
-	cfg.Batches = o.Batches
-	if cfg.Batches <= 0 {
-		cfg.Batches = 48
-	}
+	cfg.Batches = positiveOr(o.Batches, 48)
 	pool := make([]int, cfg.TotalTables)
 	for f := range pool {
 		pool[f] = 4
@@ -112,17 +67,6 @@ func (o PlacementOptions) base() retrieval.Config {
 	// wire traffic each policy leaves behind — scales with the exponent.
 	cfg.Dedup = true
 	return cfg
-}
-
-func (o PlacementOptions) hardware() retrieval.HardwareParams {
-	if o.HW != nil {
-		return *o.HW
-	}
-	return retrieval.DefaultHardware()
-}
-
-func (o PlacementOptions) parallel() int {
-	return Options{Parallel: o.Parallel}.parallel()
 }
 
 // PlacementPoint is one (backend, Zipf exponent, policy) retrieval run.
@@ -157,14 +101,10 @@ type PlacementResult struct {
 }
 
 // RunPlacement executes the placement-policy sweep. Every grid point owns
-// its system, so points dispatch freely onto the worker pool; results land
-// in an index-addressed slice, byte-identical at any parallelism.
+// its system, so points are independent.
 func RunPlacement(ctx context.Context, opts PlacementOptions) (*PlacementResult, error) {
-	policies := opts.policies()
-	zipfs := opts.zipfs()
-	backends := sweepBackends(opts.Backends)
-	base := opts.base()
-	hw := opts.hardware()
+	policies := listOr(opts.Policies, PlacementPolicies)
+	zipfs := listOr(opts.ZipfExponents, []float64{1.05, 1.2})
 	for _, p := range policies {
 		switch p {
 		case "static", "greedy", "adaptive", "adaptive+mirror":
@@ -172,35 +112,35 @@ func RunPlacement(ctx context.Context, opts PlacementOptions) (*PlacementResult,
 			return nil, fmt.Errorf("experiments: unknown placement policy %q (known: %v)", p, PlacementPolicies)
 		}
 	}
-	res := &PlacementResult{Policies: policies, Zipfs: zipfs}
-	res.Points = make([]PlacementPoint, len(backends)*len(zipfs)*len(policies))
-
-	stop := opts.Bench.Start("placement", opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(res.Points), func(i int) error {
-		pi := i % len(policies)
-		zi := i / len(policies) % len(zipfs)
-		bi := i / (len(policies) * len(zipfs))
-		backend, err := retrieval.NewBackendByName(backends[bi])
-		if err != nil {
-			return fmt.Errorf("experiments: placement sweep: %w", err)
+	var cells []PlacementPoint
+	for _, backend := range listOr(opts.Backends, defaultBackends) {
+		for _, zipf := range zipfs {
+			for _, policy := range policies {
+				cells = append(cells, PlacementPoint{Backend: backend, Zipf: zipf, Policy: policy})
+			}
 		}
-		policy := policies[pi]
-
+	}
+	base := opts.base()
+	hw := opts.hardware(0)
+	points, err := sweep(ctx, opts.Options, "placement", cells, func(ctx context.Context, c PlacementPoint) (PlacementPoint, error) {
+		backend, err := retrieval.NewBackendByName(c.Backend)
+		if err != nil {
+			return c, err
+		}
 		cfg := base
-		cfg.ZipfExponent = zipfs[zi]
-		switch policy {
+		cfg.ZipfExponent = c.Zipf
+		switch c.Policy {
 		case "greedy":
 			cfg.GreedyPlan = true
 		case "adaptive", "adaptive+mirror":
 			cfg.AdaptivePlacement = true
-			cfg.RebalanceEvery = opts.rebalanceEvery()
-			if policy == "adaptive+mirror" {
-				cfg.HotTables = opts.hotTables()
+			cfg.RebalanceEvery = positiveOr(opts.RebalanceEvery, 8)
+			if c.Policy == "adaptive+mirror" {
+				cfg.HotTables = positiveOr(opts.HotTables, 2)
 			}
 		}
-		fail := func(err error) error {
-			return fmt.Errorf("experiments: placement, %s policy %s zipf %g: %w",
-				backend.Name(), policy, cfg.ZipfExponent, err)
+		fail := func(err error) (PlacementPoint, error) {
+			return c, fmt.Errorf("%s policy %s zipf %g: %w", c.Backend, c.Policy, c.Zipf, err)
 		}
 		s, err := retrieval.NewSystem(cfg, hw)
 		if err != nil {
@@ -214,44 +154,37 @@ func RunPlacement(ctx context.Context, opts PlacementOptions) (*PlacementResult,
 		keys := make([]float64, len(r.OwnerKeys))
 		for g, k := range r.OwnerKeys {
 			keys[g] = float64(k)
-			if k > maxKeys {
-				maxKeys = k
-			}
+			maxKeys = max(maxKeys, k)
 		}
-		res.Points[i] = PlacementPoint{
-			Backend:       backend.Name(),
-			Zipf:          cfg.ZipfExponent,
-			Policy:        policy,
-			TotalTime:     r.TotalTime,
-			MaxOwnerKeys:  maxKeys,
-			Imbalance:     metrics.Imbalance(keys),
-			Rebalances:    r.Rebalances,
-			MigratedBytes: r.MigratedBytes,
-		}
-		return nil
+		c.Backend = backend.Name()
+		c.TotalTime = r.TotalTime
+		c.MaxOwnerKeys = maxKeys
+		c.Imbalance = metrics.Imbalance(keys)
+		c.Rebalances = r.Rebalances
+		c.MigratedBytes = r.MigratedBytes
+		return c, nil
 	})
-	stop()
 	if err != nil {
 		return nil, err
 	}
 	// Speedups against the same (backend, Zipf) static point, once every
 	// point is in place.
-	static := make(map[[2]int]float64)
-	for i, p := range res.Points {
+	type key struct {
+		backend string
+		zipf    float64
+	}
+	static := make(map[key]float64)
+	for _, p := range points {
 		if p.Policy == "static" {
-			zi := i / len(policies) % len(zipfs)
-			bi := i / (len(policies) * len(zipfs))
-			static[[2]int{bi, zi}] = p.TotalTime
+			static[key{p.Backend, p.Zipf}] = p.TotalTime
 		}
 	}
-	for i := range res.Points {
-		zi := i / len(policies) % len(zipfs)
-		bi := i / (len(policies) * len(zipfs))
-		if st, ok := static[[2]int{bi, zi}]; ok && res.Points[i].TotalTime > 0 {
-			res.Points[i].Speedup = st / res.Points[i].TotalTime
+	for i, p := range points {
+		if st, ok := static[key{p.Backend, p.Zipf}]; ok && p.TotalTime > 0 {
+			points[i].Speedup = st / p.TotalTime
 		}
 	}
-	return res, nil
+	return &PlacementResult{Policies: policies, Zipfs: zipfs, Points: points}, nil
 }
 
 // Table renders the sweep.

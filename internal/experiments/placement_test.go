@@ -26,11 +26,10 @@ func placementTestOptions() PlacementOptions {
 	}
 	hw := retrieval.DefaultHardware()
 	return PlacementOptions{
+		Options:        Options{Backends: []string{"baseline", "pgas-fused"}, HW: &hw},
 		ZipfExponents:  []float64{1.2},
-		Backends:       []string{"baseline", "pgas-fused"},
 		RebalanceEvery: 3,
 		Base:           &base,
-		HW:             &hw,
 	}
 }
 

@@ -19,73 +19,6 @@ import (
 // accuracy cost is independent of backend and machine shape (every backend
 // reads the same quantized-at-rest tables).
 
-// PrecisionOptions tunes the wire-precision sweep.
-type PrecisionOptions struct {
-	// Nodes picks the machine: 1 = a single NVLink node, >1 = a cluster of
-	// NVLink nodes joined by NICs (default 1).
-	Nodes int
-	// GPUsPerNode is each node's GPU count (default 4).
-	GPUsPerNode int
-	// Batches overrides the per-run batch count (0 = the configuration's).
-	Batches int
-	// BatchSize overrides the per-run global batch size (0 = the
-	// configuration's). Mainly for tests and CI smoke runs.
-	BatchSize int
-	// Backends names the registered backends to sweep. Empty means
-	// baseline, pgas-fused and hybrid.
-	Backends []string
-	// Parallel bounds concurrent simulation runs (0 = GOMAXPROCS). Results
-	// are identical for every value; only wall-clock time changes.
-	Parallel int
-	// Bench, when set, records wall-clock timing of every run.
-	Bench *Bench
-}
-
-func (o PrecisionOptions) nodes() int {
-	if o.Nodes <= 0 {
-		return 1
-	}
-	return o.Nodes
-}
-
-func (o PrecisionOptions) gpusPerNode() int {
-	if o.GPUsPerNode <= 0 {
-		return 4
-	}
-	return o.GPUsPerNode
-}
-
-func (o PrecisionOptions) backends() []string {
-	if len(o.Backends) == 0 {
-		return []string{"baseline", "pgas-fused", "hybrid"}
-	}
-	return o.Backends
-}
-
-func (o PrecisionOptions) parallel() int {
-	return Options{Parallel: o.Parallel}.parallel()
-}
-
-func (o PrecisionOptions) hardware() retrieval.HardwareParams {
-	if o.nodes() > 1 {
-		return retrieval.ClusterHardware(o.nodes())
-	}
-	return retrieval.DefaultHardware()
-}
-
-func (o PrecisionOptions) config(dedup bool, prec retrieval.Precision) retrieval.Config {
-	cfg := retrieval.MultiNodeConfig(o.nodes(), o.gpusPerNode())
-	cfg.Dedup = dedup
-	cfg.WirePrecision = prec
-	if o.Batches > 0 {
-		cfg.Batches = o.Batches
-	}
-	if o.BatchSize > 0 {
-		cfg.BatchSize = o.BatchSize
-	}
-	return cfg
-}
-
 // precisionSweep is the fixed precision axis, widest wire format first.
 var precisionSweep = []retrieval.Precision{retrieval.FP32, retrieval.FP16, retrieval.Int8}
 
@@ -119,98 +52,66 @@ func (r *PrecisionResult) Point(backend string, dedup bool, prec retrieval.Preci
 	panic(fmt.Sprintf("experiments: no precision point for %s/dedup=%v/%s", backend, dedup, prec))
 }
 
-// RunPrecision executes the wire-precision sweep. All timing cells and the
-// functional accuracy runs dispatch onto one worker pool; specs are built up
-// front and results land in index-addressed slices, so the tables are
-// byte-identical at any Parallel.
-func RunPrecision(ctx context.Context, opts PrecisionOptions) (*PrecisionResult, error) {
-	backends := opts.backends()
-	hw := opts.hardware()
-	dedups := []bool{false, true}
-	// One spec per (dedup, precision); every backend shares it.
-	specs := make([]*retrieval.SystemSpec, len(dedups)*len(precisionSweep))
-	for di, dedup := range dedups {
-		for pi, prec := range precisionSweep {
-			spec, err := retrieval.NewSystemSpec(opts.config(dedup, prec), hw)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: precision sweep, dedup=%v %s: %w", dedup, prec, err)
+// RunPrecision executes the wire-precision sweep on a machine of
+// Options.Nodes nodes (0 or 1 = a single NVLink node) of Options.GPUs GPUs
+// each; Options.Backends defaults to baseline, pgas-fused and hybrid. All
+// timing cells and the functional accuracy runs share one worker pool, and
+// every backend shares the spec of its (dedup, precision) cell.
+func RunPrecision(ctx context.Context, opts Options) (*PrecisionResult, error) {
+	res := &PrecisionResult{
+		Nodes:       max(opts.Nodes, 1),
+		GPUsPerNode: opts.gpus(),
+		MaxAbsErr:   map[retrieval.Precision]float64{},
+	}
+	type cell struct {
+		dedup bool
+		prec  retrieval.Precision
+	}
+	specs := map[cell]*retrieval.SystemSpec{}
+	var runs []specRun
+	for _, backend := range listOr(opts.Backends, []string{"baseline", "pgas-fused", "hybrid"}) {
+		for _, dedup := range []bool{false, true} {
+			for _, prec := range precisionSweep {
+				spec := specs[cell{dedup, prec}]
+				if spec == nil {
+					cfg := opts.config(retrieval.MultiNodeConfig(res.Nodes, res.GPUsPerNode))
+					cfg.Dedup = dedup
+					cfg.WirePrecision = prec
+					var err error
+					if spec, err = retrieval.NewSystemSpec(cfg, opts.hardware(opts.Nodes)); err != nil {
+						return nil, fmt.Errorf("experiments: precision sweep, dedup=%v %s: %w", dedup, prec, err)
+					}
+					specs[cell{dedup, prec}] = spec
+				}
+				res.Points = append(res.Points, PrecisionPoint{Backend: backend, Dedup: dedup, Precision: prec})
+				runs = append(runs, specRun{spec, backend, spec.Config().Seed})
 			}
-			specs[di*len(precisionSweep)+pi] = spec
 		}
 	}
 	// The accuracy sidecar runs the small functional workload, whose outputs
 	// depend only on the precision (quantize-at-rest), not the backend.
-	errSpecs := make([]*retrieval.SystemSpec, len(precisionSweep))
-	for pi, prec := range precisionSweep {
-		cfg := retrieval.TestScaleConfig(opts.gpusPerNode())
+	for _, prec := range precisionSweep {
+		cfg := retrieval.TestScaleConfig(res.GPUsPerNode)
 		cfg.WirePrecision = prec
 		spec, err := retrieval.NewSystemSpec(cfg, retrieval.DefaultHardware())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: precision accuracy run, %s: %w", prec, err)
 		}
-		errSpecs[pi] = spec
+		runs = append(runs, specRun{spec, "baseline", cfg.Seed})
 	}
 
-	timingRuns := len(backends) * len(specs)
-	results := make([]*retrieval.Result, timingRuns+len(errSpecs))
-	stop := opts.Bench.Start("precision-sweep", opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(results), func(i int) error {
-		if i >= timingRuns {
-			spec := errSpecs[i-timingRuns]
-			r, err := runSpec(ctx, spec, &retrieval.Baseline{}, spec.Config().Seed, opts.Bench)
-			if err != nil {
-				return fmt.Errorf("experiments: precision accuracy run, %s: %w",
-					precisionSweep[i-timingRuns], err)
-			}
-			results[i] = r
-			return nil
-		}
-		spec := specs[i%len(specs)]
-		backend, err := retrieval.NewBackendByName(backends[i/len(specs)])
-		if err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-		r, err := runSpec(ctx, spec, backend, spec.Config().Seed, opts.Bench)
-		if err != nil {
-			return fmt.Errorf("experiments: precision sweep, %s dedup=%v %s: %w",
-				backend.Name(), spec.Config().Dedup, spec.Config().WirePrecision, err)
-		}
-		results[i] = r
-		return nil
-	})
-	stop()
+	results, err := sweep(ctx, opts, "precision-sweep", runs, runSpec)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &PrecisionResult{
-		Nodes:       opts.nodes(),
-		GPUsPerNode: opts.gpusPerNode(),
-		MaxAbsErr:   map[retrieval.Precision]float64{},
+	for i := range res.Points {
+		res.Points[i].Result = results[i]
 	}
-	for bi, name := range backends {
-		for di, dedup := range dedups {
-			for pi, prec := range precisionSweep {
-				res.Points = append(res.Points, PrecisionPoint{
-					Backend:   name,
-					Dedup:     dedup,
-					Precision: prec,
-					Result:    results[bi*len(specs)+di*len(precisionSweep)+pi],
-				})
-			}
-		}
-	}
-	fp32 := results[timingRuns]
-	for pi, prec := range precisionSweep {
-		if prec == retrieval.FP32 {
-			continue
-		}
+	sidecar := results[len(res.Points):]
+	for i, prec := range precisionSweep[1:] {
 		var worst float64
-		got := results[timingRuns+pi]
-		for g := range got.Final {
-			if d := tensor.MaxAbsDiff(got.Final[g], fp32.Final[g]); d > worst {
-				worst = d
-			}
+		for g, out := range sidecar[i+1].Final {
+			worst = max(worst, tensor.MaxAbsDiff(out, sidecar[0].Final[g]))
 		}
 		res.MaxAbsErr[prec] = worst
 	}

@@ -8,10 +8,10 @@ import (
 	"pgasemb/internal/retrieval"
 )
 
-func precisionTestOptions() PrecisionOptions {
+func precisionTestOptions() Options {
 	// Cluster shape so the NIC column is live, trimmed to 2 batches and
 	// 2 GPUs per node to stay test-sized.
-	return PrecisionOptions{Nodes: 2, GPUsPerNode: 2, Batches: 2}
+	return Options{Nodes: 2, GPUs: 2, Batches: 2}
 }
 
 // The sweep's acceptance criteria: every reduced precision strictly shrinks
@@ -24,11 +24,12 @@ func TestPrecisionSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := len(opts.backends()) * 2 * len(precisionSweep)
+	backends := []string{"baseline", "pgas-fused", "hybrid"}
+	cells := len(backends) * 2 * len(precisionSweep)
 	if len(res.Points) != cells {
 		t.Fatalf("got %d points, want %d", len(res.Points), cells)
 	}
-	for _, name := range opts.backends() {
+	for _, name := range backends {
 		for _, dedup := range []bool{false, true} {
 			base := res.Point(name, dedup, retrieval.FP32).Result
 			prevComm, prevNIC := base.CommTrace.Total(), base.NICWireBytes

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pgasemb/internal/retrieval"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/trace"
 )
@@ -177,6 +178,63 @@ func (r *ScalingResult) BreakdownTable() *Table {
 			)
 		}
 		t.Rows = append(t.Rows, row)
+	}
+	return t
+}
+
+// gigabytes renders a byte count as GB with enough precision for small
+// smoke-run volumes.
+func gigabytes(b float64) string {
+	return fmt.Sprintf("%.3f", b/1e9)
+}
+
+// MultiNodeTable renders a multi-node sweep: per node count, both totals,
+// the speedup, and the NIC wire traffic each scheme put on the network — the
+// byte volume the node-level deduplication exists to shrink.
+func (r *ScalingResult) MultiNodeTable() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Multi-node %s scaling (%d GPUs per node)", r.Kind, r.GPUsPerNode),
+		Headers: []string{"Nodes", "GPUs", "Baseline", "PGAS fused", "Speedup",
+			"Base NIC GB", "PGAS NIC GB", "NIC ratio"},
+	}
+	for _, p := range r.Points {
+		ratio := "-"
+		if p.Baseline.NICWireBytes > 0 {
+			ratio = fmt.Sprintf("%.3f", p.PGAS.NICWireBytes/p.Baseline.NICWireBytes)
+		}
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", p.Nodes),
+			fmt.Sprintf("%d", p.GPUs),
+			sim.FormatTime(p.Baseline.TotalTime),
+			sim.FormatTime(p.PGAS.TotalTime),
+			fmt.Sprintf("%.2fx", p.Speedup()),
+			gigabytes(p.Baseline.NICWireBytes),
+			gigabytes(p.PGAS.NICWireBytes),
+			ratio,
+		})
+	}
+	return t
+}
+
+// MultiNodeCommTable renders a multi-node sweep's communication
+// decomposition: the baseline's communication component next to each
+// scheme's NIC message counts, the view that shows inter-node time growing
+// with node count.
+func (r *ScalingResult) MultiNodeCommTable() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Multi-node %s scaling: inter-node communication", r.Kind),
+		Headers: []string{"Nodes", "Base Comm", "Base NIC msgs", "PGAS NIC msgs",
+			"Base NIC payload GB", "PGAS NIC payload GB"},
+	}
+	for _, p := range r.Points {
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", p.Nodes),
+			sim.FormatTime(p.Baseline.Breakdown.Get(retrieval.CompComm)),
+			fmt.Sprintf("%d", p.Baseline.NICMessages),
+			fmt.Sprintf("%d", p.PGAS.NICMessages),
+			gigabytes(p.Baseline.NICPayloadBytes),
+			gigabytes(p.PGAS.NICPayloadBytes),
+		})
 	}
 	return t
 }

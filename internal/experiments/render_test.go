@@ -181,7 +181,7 @@ func TestRunAblationsOrdering(t *testing.T) {
 }
 
 func TestRunScalingStats(t *testing.T) {
-	stats, err := RunScalingStats(context.Background(), WeakScaling, 3, Options{Batches: 2, MaxGPUs: 2})
+	stats, err := RunScalingStats(context.Background(), WeakScaling, 3, Options{Batches: 2, GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +205,24 @@ func TestRunScalingStats(t *testing.T) {
 	tb := StatsTable(WeakScaling, stats)
 	if len(tb.Rows) != 1 || !strings.Contains(tb.Title, "weak") {
 		t.Fatalf("stats table wrong: %+v", tb)
+	}
+}
+
+// The statistics run the backend the caller named in the accelerated
+// column: with the baseline on both sides every seed's speedup is exactly 1.
+func TestRunScalingStatsHonoursBackend(t *testing.T) {
+	opts := Options{Batches: 1, BatchSize: 1024, GPUs: 3, Backends: []string{"baseline"}}
+	stats, err := RunScalingStats(context.Background(), WeakScaling, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 2 {
+		t.Fatalf("stats entries = %d, want 2", len(stats))
+	}
+	for _, s := range stats {
+		if s.Mean != 1 || s.StdDev != 0 {
+			t.Errorf("%d GPUs: baseline over baseline reads mean %vx, stddev %v; want 1x, 0", s.GPUs, s.Mean, s.StdDev)
+		}
 	}
 }
 

@@ -10,82 +10,43 @@ import (
 	"pgasemb/internal/sim"
 )
 
-// ServingOptions tunes the online-serving sweep: arrival rate × cache
-// fraction × backend, each point one full serving simulation.
+// ServingOptions tunes the online-serving sweep: backend × arrival rate ×
+// cache fraction (× dedup with Options.Dedup, the innermost axis), each
+// point one full serving simulation. Options.GPUs sizes the machine unless
+// Base is set; Options.Backends defaults to baseline and pgas-fused.
 type ServingOptions struct {
+	Options
 	// Rates are the arrival rates to sweep (requests/second). Required.
 	Rates []float64
 	// CacheFractions are the hot-row cache sizes to sweep, as fractions of
 	// device memory (0 = cache disabled). Required.
 	CacheFractions []float64
-	// Dedups sweeps batch-level index deduplication on/off (default:
-	// {false}). It is the innermost axis, so each (backend, rate, fraction)
-	// combination's dedup variants render adjacently.
-	Dedups []bool
-	// Backends names the registered backends to sweep, each resolved to a
-	// fresh instance per point (default baseline and pgas-fused).
-	Backends []string
-	// GPUs sizes the serving machine (default 4). Ignored when Base is set.
-	GPUs int
 	// Duration is each point's arrival window (default 2 simulated seconds).
 	Duration sim.Duration
 	// Base overrides the serving workload configuration (default
 	// retrieval.ServingScaleConfig(GPUs)); its CacheFraction is overwritten
 	// by the sweep.
 	Base *retrieval.Config
-	// HW selects the hardware model (nil = calibrated defaults).
-	HW *retrieval.HardwareParams
 	// PipelineDepth sets the base configuration's inter-batch pipelining
 	// depth at every point (0 keeps the base configuration's own depth;
 	// 1 = serial dispatch, ≥2 overlaps in-flight dispatches).
 	PipelineDepth int
-	// WirePrecision sets the wire transport format for embedding rows at
-	// every point (FP32 = uncompressed, the default).
-	WirePrecision retrieval.Precision
 	// Serve carries the batching knobs (MaxBatch, MaxWait, QueueCap,
 	// arrival process); Rate and Duration are overwritten by the sweep.
 	Serve serve.Config
-	// Parallel bounds concurrently executed points (0 = GOMAXPROCS).
-	// Results are identical for every value.
-	Parallel int
-	// Bench, when set, records the sweep's wall-clock time.
-	Bench *Bench
 }
 
-func (o ServingOptions) base() retrieval.Config {
-	if o.Base != nil {
-		return *o.Base
-	}
-	gpus := o.GPUs
-	if gpus <= 0 {
-		gpus = 4
-	}
-	return retrieval.ServingScaleConfig(gpus)
-}
+// defaultBackends is the backend axis of the serving, chaos and placement
+// sweeps when Options.Backends is empty.
+var defaultBackends = []string{"baseline", "pgas-fused"}
 
-func (o ServingOptions) duration() sim.Duration {
-	if o.Duration > 0 {
-		return o.Duration
+// servingBase is the serving workload of the serving and chaos sweeps: base,
+// or ServingScaleConfig sized to the machine.
+func servingBase(base *retrieval.Config, o Options) retrieval.Config {
+	if base != nil {
+		return *base
 	}
-	return 2 * sim.Second
-}
-
-func (o ServingOptions) hardware() retrieval.HardwareParams {
-	if o.HW != nil {
-		return *o.HW
-	}
-	return retrieval.DefaultHardware()
-}
-
-func (o ServingOptions) dedups() []bool {
-	if len(o.Dedups) > 0 {
-		return o.Dedups
-	}
-	return []bool{false}
-}
-
-func (o ServingOptions) parallel() int {
-	return Options{Parallel: o.Parallel}.parallel()
+	return retrieval.ServingScaleConfig(o.gpus())
 }
 
 // ServingPoint is one (backend, rate, cache fraction, dedup) serving run.
@@ -127,52 +88,37 @@ type ServingResult struct {
 }
 
 // RunServing executes the serving sweep. Every grid point owns its server
-// (and therefore its cache set), so points are independent and dispatch
-// freely onto the worker pool; results land in an index-addressed slice,
-// byte-identical at any parallelism.
+// (and therefore its cache set), so points are independent.
 func RunServing(ctx context.Context, opts ServingOptions) (*ServingResult, error) {
 	if len(opts.Rates) == 0 || len(opts.CacheFractions) == 0 {
 		return nil, fmt.Errorf("experiments: serving sweep needs at least one rate and one cache fraction")
 	}
-	backends := sweepBackends(opts.Backends)
 	dedups := opts.dedups()
-	base := opts.base()
-	hw := opts.hardware()
-	res := &ServingResult{Rates: opts.Rates, CacheFractions: opts.CacheFractions, Dedups: dedups}
-	res.Points = make([]ServingPoint, len(backends)*len(opts.Rates)*len(opts.CacheFractions)*len(dedups))
-
-	stop := opts.Bench.Start("serving", opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(res.Points), func(i int) error {
-		di := i % len(dedups)
-		fi := i / len(dedups) % len(opts.CacheFractions)
-		ri := i / (len(dedups) * len(opts.CacheFractions)) % len(opts.Rates)
-		bi := i / (len(dedups) * len(opts.CacheFractions) * len(opts.Rates))
-		backend, err := retrieval.NewBackendByName(backends[bi])
-		if err != nil {
-			return fmt.Errorf("experiments: serving sweep: %w", err)
+	var cells []ServingPoint
+	for _, backend := range listOr(opts.Backends, defaultBackends) {
+		for _, rate := range opts.Rates {
+			for _, frac := range opts.CacheFractions {
+				for _, dedup := range dedups {
+					cells = append(cells, ServingPoint{Backend: backend, Rate: rate, CacheFraction: frac, Dedup: dedup})
+				}
+			}
 		}
-
+	}
+	base := opts.config(servingBase(opts.Base, opts.Options))
+	base.PipelineDepth = positiveOr(opts.PipelineDepth, base.PipelineDepth)
+	hw := opts.hardware(0)
+	points, err := sweep(ctx, opts.Options, "serving", cells, func(ctx context.Context, c ServingPoint) (ServingPoint, error) {
 		cfg := base
-		cfg.CacheFraction = opts.CacheFractions[fi]
-		cfg.Dedup = dedups[di]
-		cfg.WirePrecision = opts.WirePrecision
-		if opts.PipelineDepth > 0 {
-			cfg.PipelineDepth = opts.PipelineDepth
-		}
+		cfg.CacheFraction = c.CacheFraction
+		cfg.Dedup = c.Dedup
 		scfg := opts.Serve
-		scfg.Rate = opts.Rates[ri]
-		scfg.Duration = opts.duration()
-		srv, err := serve.NewServer(cfg, hw, backend, scfg)
+		scfg.Rate = c.Rate
+		scfg.Duration = positiveOr(opts.Duration, 2*sim.Second)
+		r, err := serveRun(ctx, c.Backend, cfg, hw, scfg)
 		if err != nil {
-			return fmt.Errorf("experiments: serving, %s rate %.0f frac %g dedup %v: %w",
-				backend.Name(), scfg.Rate, cfg.CacheFraction, cfg.Dedup, err)
+			return c, fmt.Errorf("%s rate %.0f frac %g dedup %v: %w", c.Backend, c.Rate, c.CacheFraction, c.Dedup, err)
 		}
-		r, err := srv.RunContext(ctx)
-		if err != nil {
-			return fmt.Errorf("experiments: serving, %s rate %.0f frac %g dedup %v: %w",
-				backend.Name(), scfg.Rate, cfg.CacheFraction, cfg.Dedup, err)
-		}
-		res.Points[i] = ServingPoint{
+		return ServingPoint{
 			Backend:       r.Backend,
 			Rate:          r.Rate,
 			CacheFraction: r.CacheFraction,
@@ -190,14 +136,26 @@ func RunServing(ctx context.Context, opts ServingOptions) (*ServingResult, error
 			P95:           r.Percentile(95),
 			P99:           r.Percentile(99),
 			Goodput:       r.Goodput(),
-		}
-		return nil
+		}, nil
 	})
-	stop()
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &ServingResult{Rates: opts.Rates, CacheFractions: opts.CacheFractions, Dedups: dedups, Points: points}, nil
+}
+
+// serveRun runs one serving point's server under a fresh instance of the
+// named backend.
+func serveRun(ctx context.Context, backend string, cfg retrieval.Config, hw retrieval.HardwareParams, scfg serve.Config) (*serve.Result, error) {
+	b, err := retrieval.NewBackendByName(backend)
+	if err != nil {
+		return nil, err
+	}
+	srv, err := serve.NewServer(cfg, hw, b, scfg)
+	if err != nil {
+		return nil, err
+	}
+	return srv.RunContext(ctx)
 }
 
 // P99Series returns the p99 latencies (seconds) across cache fractions for

@@ -43,12 +43,11 @@ func TestServingP99ImprovesWithCacheFraction(t *testing.T) {
 	base := servingTestBase()
 	hw := servingTestHW()
 	res, err := RunServing(context.Background(), ServingOptions{
+		Options:        Options{Backends: []string{"pgas-fused"}, HW: &hw},
 		Rates:          []float64{2600},
 		CacheFractions: []float64{0, 0.001, 0.01, 0.05},
-		Backends:       []string{"pgas-fused"},
 		Duration:       1 * sim.Second,
 		Base:           &base,
-		HW:             &hw,
 		Serve:          serve.Config{MaxWait: 2 * sim.Millisecond},
 	})
 
@@ -83,11 +82,11 @@ func TestServingTableDeterministicAcrossParallelism(t *testing.T) {
 	base := servingTestBase()
 	hw := servingTestHW()
 	opts := ServingOptions{
+		Options:        Options{HW: &hw},
 		Rates:          []float64{1500, 2400},
 		CacheFractions: []float64{0, 0.01},
 		Duration:       200 * sim.Millisecond,
 		Base:           &base,
-		HW:             &hw,
 		Serve:          serve.Config{MaxWait: 2 * sim.Millisecond},
 	}
 	var renders []string

@@ -23,57 +23,42 @@ type SpeedupStats struct {
 // and reports per-GPU-count speedup statistics — the variance the paper's
 // single-seed tables do not show. The pooling draws are the only stochastic
 // input, so at paper scale the spread is small; the statistics quantify
-// exactly how small. All seeds × GPU counts × backends runs dispatch onto
-// the worker pool; every seed of a GPU count shares that count's immutable
+// exactly how small. Every seed of a GPU count shares that count's immutable
 // spec (the per-seed RNG streams are derived at run creation).
 func RunScalingStats(ctx context.Context, kind ScalingKind, seeds int, opts Options) ([]SpeedupStats, error) {
 	if seeds <= 0 {
 		return nil, fmt.Errorf("experiments: need at least one seed")
 	}
-	hw := opts.hardware()
-	maxGPUs := opts.maxGPUs()
-	counts := maxGPUs - 1 // GPU counts 2..maxGPUs
-	if counts <= 0 {
-		return nil, fmt.Errorf("experiments: statistics need MaxGPUs >= 2")
+	maxGPUs := opts.gpus()
+	if maxGPUs < 2 {
+		return nil, fmt.Errorf("experiments: statistics need GPUs >= 2")
+	}
+	accel, err := opts.accelerated()
+	if err != nil {
+		return nil, err
 	}
 	specs := make([]*retrieval.SystemSpec, maxGPUs+1)
 	for gpus := 2; gpus <= maxGPUs; gpus++ {
-		spec, err := retrieval.NewSystemSpec(opts.apply(kind.Config(gpus)), hw)
-		if err != nil {
+		if specs[gpus], err = retrieval.NewSystemSpec(opts.config(kind.Config(gpus)), opts.hardware(0)); err != nil {
 			return nil, err
 		}
-		specs[gpus] = spec
 	}
-	// Job i covers (seed, gpus, backend); results land indexed so the
-	// assembled statistics are identical at any parallelism.
-	times := make([]float64, seeds*counts*2)
-	stop := opts.Bench.Start(fmt.Sprintf("%s-scaling-stats", kind), opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(times), func(i int) error {
-		s := i / (counts * 2)
-		rem := i % (counts * 2)
-		gpus := 2 + rem/2
-		var backend retrieval.Backend = &retrieval.Baseline{}
-		if rem%2 == 1 {
-			backend = &retrieval.PGASFused{}
+	var runs []specRun
+	for s := 0; s < seeds; s++ {
+		for _, spec := range specs[2:] {
+			seed := spec.Config().Seed + uint64(s)*1_000_003
+			runs = append(runs, specRun{spec, "baseline", seed}, specRun{spec, accel, seed})
 		}
-		spec := specs[gpus]
-		seed := spec.Config().Seed + uint64(s)*1_000_003
-		r, err := runSpec(ctx, spec, backend, seed, opts.Bench)
-		if err != nil {
-			return err
-		}
-		times[i] = r.TotalTime
-		return nil
-	})
-	stop()
+	}
+	results, err := sweep(ctx, opts, fmt.Sprintf("%s-scaling-stats", kind), runs, runSpec)
 	if err != nil {
 		return nil, err
 	}
 	samples := make([][]float64, maxGPUs+1)
 	for s := 0; s < seeds; s++ {
 		for gpus := 2; gpus <= maxGPUs; gpus++ {
-			at := s*counts*2 + (gpus-2)*2
-			samples[gpus] = append(samples[gpus], times[at]/times[at+1])
+			samples[gpus] = append(samples[gpus], results[0].TotalTime/results[1].TotalTime)
+			results = results[2:]
 		}
 	}
 	var out []SpeedupStats

@@ -169,24 +169,13 @@ func (c CacheCounters) Add(o CacheCounters) CacheCounters {
 // RetryCounters aggregates fault-recovery activity: proxy delivery losses and
 // retransmissions on the inter-node fabric, plus the serving layer's
 // degradation actions (health-aware shedding and queue-timeout rejects). One
-// run owns one counter set; Add folds runs into sweep-level views.
+// run owns one counter set.
 type RetryCounters struct {
 	Drops     int64 // proxy deliveries lost to injected faults
 	Retries   int64 // retransmissions issued by the proxy retry loop
 	Exhausted int64 // messages that hit the attempt cap undelivered
 	Shed      int64 // arrivals shed by health-aware load shedding
 	Rejected  int64 // queued requests rejected by queue timeout
-}
-
-// Add returns the element-wise sum of the two counter sets.
-func (c RetryCounters) Add(o RetryCounters) RetryCounters {
-	return RetryCounters{
-		Drops:     c.Drops + o.Drops,
-		Retries:   c.Retries + o.Retries,
-		Exhausted: c.Exhausted + o.Exhausted,
-		Shed:      c.Shed + o.Shed,
-		Rejected:  c.Rejected + o.Rejected,
-	}
 }
 
 // DedupCounters aggregates batch-level index-deduplication activity on the

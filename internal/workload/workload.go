@@ -187,23 +187,6 @@ func PaperStrongScaling(seed uint64) Config {
 	return cfg
 }
 
-// CriteoShaped returns a workload shaped like the Criteo click-logs dataset
-// the DLRM benchmark ships with: 26 sparse features, 13 dense features,
-// single-valued bags (pooling factor 1) — the latency-dominated regime
-// where per-batch overheads, not bandwidth, decide the EMB layer's cost.
-func CriteoShaped(seed uint64) Config {
-	return Config{
-		NumFeatures:  26,
-		BatchSize:    16384,
-		MinPooling:   1,
-		MaxPooling:   1,
-		IndexSpace:   1_000_000,
-		Distribution: Uniform,
-		NumDense:     13,
-		Seed:         seed,
-	}
-}
-
 // Generator produces batches (or their timing summaries) deterministically.
 type Generator struct {
 	cfg      Config

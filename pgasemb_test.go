@@ -58,7 +58,7 @@ func TestPublicAPIBackendsDiffer(t *testing.T) {
 }
 
 func TestPublicAPIExperimentHarness(t *testing.T) {
-	res, err := pgasemb.RunScaling(pgasemb.WeakScaling, pgasemb.ExperimentOptions{Batches: 2, MaxGPUs: 2})
+	res, err := pgasemb.RunScaling(pgasemb.WeakScaling, pgasemb.ExperimentOptions{Batches: 2, GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
