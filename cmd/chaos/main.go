@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	duration := c.Duration("duration", time.Second, "simulated arrival window per sweep point")
 	backends := c.Backends("baseline,pgas-fused")
 	c.Parallel()
-	out := c.Out("results")
+	c.Out("results")
 	c.Timeout()
 	c.Positive("gpus", "rate", "duration")
 	c.NonNegative("nodes")
@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := c.Table("chaos", res.Table()); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "artifacts written to %s/\n", *out)
 		return nil
 	})
 }

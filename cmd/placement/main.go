@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	hot := c.Int("hot", 2, "mirror budget of the adaptive+mirror policy")
 	backends := c.Backends("baseline,pgas-fused")
 	c.Parallel()
-	out := c.Out("results")
+	c.Out("results")
 	c.Timeout()
 	c.Positive("gpus", "batches", "every", "hot")
 	return c.Run(args, func(ctx context.Context) error {
@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := c.Table("placement", res.Table()); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "artifacts written to %s/\n", *out)
 		return nil
 	})
 }

@@ -162,7 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rep := bench.Report()
 		fmt.Fprintf(stdout, "host timing: %.1fs wall, %.1fs of simulation across %d workers (%s)\n",
 			rep.TotalWallSeconds, rep.TotalRunSeconds, c.Workers(), filepath.Join(*out, "bench.json"))
-		fmt.Fprintf(stdout, "artifacts written to %s/\n", *out)
 		return nil
 	})
 }

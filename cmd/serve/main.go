@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pipeline := c.Int("pipeline", 1, "inter-batch pipeline depth (1 = serial dispatch, 2 = overlapped dispatches)")
 	prec := c.Precision("wire transport format for embedding rows: fp32, fp16 or int8")
 	c.Parallel()
-	out := c.Out("results")
+	c.Out("results")
 	c.Timeout()
 	c.Positive("duration", "gpus", "pipeline")
 	arr := serve.Poisson
@@ -82,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := c.Table("serving", res.Table()); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "artifacts written to %s/\n", *out)
 		return nil
 	})
 }

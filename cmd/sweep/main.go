@@ -12,6 +12,8 @@
 // The pipeline axis runs the full DLRM inference pipeline (the others run
 // the EMB layer alone) at increasing inter-batch software-pipelining depths,
 // showing how much of each scheme's exchange hides behind dense compute.
+// Every axis runs its points on the experiment engine's worker pool
+// (GOMAXPROCS workers); the output is identical at any worker count.
 // -timeout bounds host wall-clock time.
 package main
 
@@ -138,22 +140,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return nil
 		}
-		for _, pt := range pts {
-			cfg := pt.cfg
-			cfg.Batches = *batches
-			var times [2]float64
-			for i, backend := range []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}} {
-				sys, err := retrieval.NewSystem(cfg, retrieval.DefaultHardware())
-				if err != nil {
-					return fmt.Errorf("%s: %w", pt.label, err)
-				}
-				res, err := sys.RunContext(ctx, backend)
-				if err != nil {
-					return fmt.Errorf("%s: %w", pt.label, err)
-				}
-				times[i] = res.TotalTime
-			}
-			emit(pt.label, times[0], times[1])
+		cfgs := make([]retrieval.Config, len(pts))
+		for i, pt := range pts {
+			cfgs[i] = pt.cfg
+		}
+		res, err := experiments.RunPairs(ctx, "sweep-"+*axis, cfgs, experiments.Options{Batches: *batches})
+		if err != nil {
+			return err
+		}
+		for i, pt := range pts {
+			emit(pt.label, res[i][0].TotalTime, res[i][1].TotalTime)
 		}
 		return nil
 	})

@@ -49,3 +49,9 @@ func TestSweepDimPointsFitMemory(t *testing.T) {
 func TestGoldenPipeline(t *testing.T) {
 	clitest.Golden(t, "pipeline", run, "-axis", "pipeline", "-gpus", "2", "-batches", "2")
 }
+
+// TestGoldenChunks pins an EMB-only axis's stdout, as text and as CSV.
+func TestGoldenChunks(t *testing.T) {
+	clitest.Golden(t, "chunks", run, "-axis", "chunks", "-gpus", "2", "-batches", "1")
+	clitest.Golden(t, "chunks_csv", run, "-axis", "chunks", "-gpus", "2", "-batches", "1", "-csv")
+}

@@ -48,6 +48,7 @@ type Command struct {
 	parallel *int
 	out      *string
 	csv      *bool
+	wrote    bool // WriteFile wrote at least one artifact
 }
 
 // New returns an empty command named name writing to stdout and stderr.
@@ -241,7 +242,8 @@ func (c *Command) Precision(usage string) *retrieval.Precision {
 // Run parses args, performs every flag check, and runs body under the
 // -timeout context. It returns the process exit code: 0 on success (or
 // -h), ExitUsage for a bad flag, ExitFail for a failed run. Errors go to
-// stderr prefixed with the command name.
+// stderr prefixed with the command name; a successful run that wrote an
+// artifact ends its stdout with the -out directory.
 func (c *Command) Run(args []string, body func(ctx context.Context) error) int {
 	if err := c.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -271,6 +273,9 @@ func (c *Command) Run(args []string, body func(ctx context.Context) error) int {
 	if err := body(ctx); err != nil {
 		fmt.Fprintf(c.stderr, "%s: %v\n", c.Name(), err)
 		return ExitFail
+	}
+	if c.wrote {
+		fmt.Fprintf(c.stdout, "artifacts written to %s/\n", *c.out)
 	}
 	return 0
 }
@@ -311,5 +316,9 @@ func (c *Command) WriteFile(name string, data []byte) error {
 	if err := os.MkdirAll(*c.out, 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(*c.out, name), data, 0o644)
+	if err := os.WriteFile(filepath.Join(*c.out, name), data, 0o644); err != nil {
+		return err
+	}
+	c.wrote = true
+	return nil
 }

@@ -37,12 +37,6 @@ func BenchmarkAllToAllSizes4Ranks(b *testing.B) {
 	})
 }
 
-func BenchmarkAllReduce4Ranks(b *testing.B) {
-	benchCollective(b, 4, func(c *Comm, p *sim.Proc, rank int) {
-		c.AllReduce(p, rank, make([]float32, 16384))
-	})
-}
-
 func BenchmarkReduceScatterV4Ranks(b *testing.B) {
 	benchCollective(b, 4, func(c *Comm, p *sim.Proc, rank int) {
 		sizes := []int{4096, 4096, 4096, 4096}

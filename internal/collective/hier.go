@@ -8,11 +8,11 @@ import (
 	"pgasemb/internal/sim"
 )
 
-// NewCluster creates a communicator over a multi-node cluster: all-to-all and
-// all-gather run hierarchically — an intra-node exchange over NVLink, a
-// rail-aligned inter-node exchange over the NICs, then an intra-node
-// redistribution — while the remaining (ring/flat) collectives keep their
-// schedules with cross-node hops priced and occupied on the NIC rails. fab
+// NewCluster creates a communicator over a multi-node cluster: all-to-all
+// runs hierarchically — an intra-node exchange over NVLink, a rail-aligned
+// inter-node exchange over the NICs, then an intra-node redistribution —
+// while the reduce-scatter keeps its ring schedule with cross-node hops
+// priced and occupied on the NIC rails. fab
 // must be wired over net's Cluster topology.
 func NewCluster(env *sim.Env, fab *nvlink.Fabric, params Params, net *fabric.Interconnect) *Comm {
 	c, err := NewClusterChecked(env, fab, params, net)
@@ -231,53 +231,4 @@ func (c *Comm) hierAllToAll(p *sim.Proc, rank int, op *pendingOp) {
 	c.barrier.Await(p)
 
 	c.runIntraPhase(p, rank, a, l, e3, i3)
-}
-
-// hierAllGather runs the hierarchical all-gather schedule for one rank:
-// an intra-node ring gathers the node's shards on every local GPU, then each
-// lane ring-gathers its own lane's shards across nodes over the NIC rails,
-// and a final intra-node ring spreads the remote shards locally.
-func (c *Comm) hierAllGather(p *sim.Proc, rank int, shardBytes float64) {
-	cl := c.net.Cluster()
-	G, N := cl.GPUsPerNode, cl.Nodes
-	a, l := cl.Node(rank), cl.Lane(rank)
-
-	p.Wait(c.params.LaunchOverhead)
-	if G > 1 && shardBytes > 0 {
-		next := cl.GPU(a, (l+1)%G)
-		start := p.Now()
-		bytes := shardBytes * float64(G-1)
-		total := c.occupyWire(p, rank, next, bytes,
-			sim.Duration(G-1)*c.transferTime(rank, next, shardBytes))
-		if total > 0 {
-			c.volume.Add(start, start+total, bytes)
-		}
-		p.Wait(total)
-	}
-	c.barrier.Await(p)
-	if shardBytes > 0 {
-		// Lane-aligned inter-node ring: (N-1) steps, one lane-l shard each.
-		start := p.Now()
-		ready := start
-		for step := 0; step < N-1; step++ {
-			ready = c.net.SendAt(ready, rank, (a+1)%N, int(shardBytes))
-		}
-		if ready > start {
-			c.volume.Add(start, ready, shardBytes*float64(N-1))
-		}
-		p.WaitUntil(ready)
-	}
-	c.barrier.Await(p)
-	if G > 1 && N > 1 && shardBytes > 0 {
-		next := cl.GPU(a, (l+1)%G)
-		stepBytes := shardBytes * float64(N-1)
-		start := p.Now()
-		bytes := stepBytes * float64(G-1)
-		total := c.occupyWire(p, rank, next, bytes,
-			sim.Duration(G-1)*c.transferTime(rank, next, stepBytes))
-		if total > 0 {
-			c.volume.Add(start, start+total, bytes)
-		}
-		p.Wait(total)
-	}
 }

@@ -35,13 +35,13 @@ func TestSingleNodeClusterMatchesFlat(t *testing.T) {
 				recv[d] = float64(1000 * (d + 1))
 			}
 			c.AllToAllSingleSizes(p, rank, send, recv)
-			shard := []float32{float32(rank)}
-			dst := make([][]float32, n)
-			for i := range dst {
-				dst[i] = make([]float32, 1)
+			contrib := make([]float32, n)
+			for i := range contrib {
+				contrib[i] = float32(rank*n + i)
 			}
-			c.AllGather(p, rank, shard, dst)
-			out[rank] = dst[(rank+1)%n][0]
+			shard := make([]float32, 1)
+			c.ReduceScatterV(p, rank, contrib, shard, []int{1, 1, 1, 1})
+			out[rank] = shard[0]
 		})
 		return env.Now(), out
 	}
@@ -129,30 +129,6 @@ func TestHierSizesMatchesFunctional(t *testing.T) {
 	}
 }
 
-func TestHierAllGatherFunctional(t *testing.T) {
-	const nodes, perNode = 3, 2
-	n := nodes * perNode
-	env, c, net := testClusterComm(nodes, perNode)
-	runRanks(env, n, func(p *sim.Proc, rank int) {
-		shard := []float32{float32(100 + rank)}
-		out := make([][]float32, n)
-		for i := range out {
-			out[i] = make([]float32, 1)
-		}
-		c.AllGather(p, rank, shard, out)
-		for src := 0; src < n; src++ {
-			if got, want := out[src][0], float32(100+src); got != want {
-				t.Errorf("rank %d slot %d = %v, want %v", rank, src, got, want)
-			}
-		}
-	})
-	// Inter-node ring: every rank sends its lane shard (N-1) times.
-	wantPayload := float64(n * (nodes - 1) * 4)
-	if got := net.PayloadBytes(); math.Abs(got-wantPayload) > 1e-9 {
-		t.Fatalf("NIC payload %g, want %g", got, wantPayload)
-	}
-}
-
 // More nodes must not make the collective cheaper: weak-scaling the same
 // per-rank traffic across more nodes adds NIC hops.
 func TestHierAllToAllNodeScalingMonotone(t *testing.T) {
@@ -178,8 +154,8 @@ func TestHierAllToAllNodeScalingMonotone(t *testing.T) {
 	}
 }
 
-// Ring collectives must stay functional on a cluster topology (cross-node
-// hops priced on the NIC instead of NVLink).
+// The ring reduce-scatter must stay functional on a cluster topology
+// (cross-node hops priced on the NIC instead of NVLink).
 func TestRingCollectivesOnCluster(t *testing.T) {
 	const nodes, perNode = 2, 2
 	n := nodes * perNode
@@ -190,19 +166,14 @@ func TestRingCollectivesOnCluster(t *testing.T) {
 			contrib[i] = float32(rank + 1)
 		}
 		out := make([]float32, 1)
-		c.ReduceScatter(p, rank, contrib, out)
+		c.ReduceScatterV(p, rank, contrib, out, []int{1, 1, 1, 1})
 		// Sum over ranks of (rank+1) = n(n+1)/2.
 		if want := float32(n * (n + 1) / 2); out[0] != want {
 			t.Errorf("rank %d reducescatter got %v, want %v", rank, out[0], want)
 		}
-		red := []float32{float32(rank)}
-		c.AllReduce(p, rank, red)
-		if want := float32(n * (n - 1) / 2); red[0] != want {
-			t.Errorf("rank %d allreduce got %v, want %v", rank, red[0], want)
-		}
 	})
 	if net.Messages() == 0 {
-		t.Fatal("ring collectives on a cluster never crossed the NIC")
+		t.Fatal("the ring reduce-scatter on a cluster never crossed the NIC")
 	}
 }
 

@@ -34,15 +34,6 @@ func NewPipeline(cfg retrieval.Config, hw retrieval.HardwareParams, backend retr
 	if err != nil {
 		return nil, err
 	}
-	return NewPipelineFromSpec(spec, backend)
-}
-
-// NewPipelineFromSpec wires a pipeline run from an existing immutable spec —
-// the entry point for executing many pipeline runs of one configuration
-// concurrently. The backend's configuration constraints are validated here,
-// before any simulated process starts.
-func NewPipelineFromSpec(spec *retrieval.SystemSpec, backend retrieval.Backend) (*Pipeline, error) {
-	cfg := spec.Config()
 	model, err := NewModel(DefaultModelConfig(cfg.TotalTables, cfg.Dim), cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -135,127 +126,101 @@ func (pl *Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
 		perGPU[g] = &trace.Breakdown{}
 	}
 	embEnd := make([]sim.Duration, cfg.GPUs)
-
-	type batchIn struct {
-		bd    *retrieval.BatchData
-		dense *tensor.Tensor
-	}
-	batches := make([]batchIn, cfg.Batches)
-	for i := range batches {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bd, err := s.NextBatchData()
-		if err != nil {
-			return nil, err
-		}
-		batches[i] = batchIn{bd: bd, dense: pl.denseGen.NextDense()}
-	}
-
-	barrier := sim.NewBarrier(s.Env, cfg.GPUs)
-	depth := s.PipelineDepth()
 	denseEnd := make([]sim.Duration, cfg.GPUs)
+	// The dense inputs come from their own generator, independent of the
+	// retrieval system's sparse draws; dense[i] belongs to run batch i.
+	dense := make([]*tensor.Tensor, cfg.Batches)
+	for i := range dense {
+		dense[i] = pl.denseGen.NextDense()
+	}
+	depth := s.PipelineDepth()
 	var preds []*tensor.Tensor
 	if cfg.Functional {
 		preds = make([]*tensor.Tensor, cfg.GPUs)
 	}
-	var runErr error
-	start := s.Env.Now()
-	for g := 0; g < cfg.GPUs; g++ {
-		g := g
-		s.Env.Go(fmt.Sprintf("gpu%d", g), func(p *sim.Proc) {
-			defer func() {
-				if r := recover(); r != nil && runErr == nil {
-					runErr = fmt.Errorf("dlrm: GPU %d: %v", g, r)
-				}
-			}()
-			dev := s.Devs[g]
-			denseStream := dev.NewStream("dense")
-			lo, hi := s.Minibatch(g)
-			mini := hi - lo
-			topCost := dev.MLPKernelCost(pl.Model.Top.FLOPs(mini), pl.Model.Top.Bytes(mini))
-			features := pl.Model.Cfg.NumSparse + 1
-			interFLOPs := float64(mini) * float64(features*(features-1)/2) * float64(2*cfg.Dim)
-			tailCost := dev.MLPKernelCost(
-				interFLOPs+pl.Model.Bottom.FLOPs(mini),
-				pl.Model.DensePathBytes(mini)-pl.Model.Top.Bytes(mini))
-			denseEnd[g] = sim.Duration(len(batches)) * (topCost + tailCost)
-
-			if depth > 1 {
-				// Software-pipelined schedule (inter-batch double buffering):
-				// the interaction + bottom MLP of batch N stays queued on the
-				// dense stream while this process moves on to batch N+1's EMB
-				// exchange in the next staging slot. A slot is reused only
-				// once its previous occupant's tail has drained (the ring
-				// wait below); the exchange gate tells collective backends
-				// where the dense stream's queue ends, because a collective
-				// kernel cannot overtake compute kernels launched before it —
-				// which is why the baseline overlaps only its pre-collective
-				// phases while one-sided stores (issued from inside the fused
-				// gather kernel) proceed immediately.
-				tailRing := make([]sim.Time, depth)
-				var lastTail sim.Time
-				for _, in := range batches {
-					p.WaitUntil(tailRing[in.bd.Slot])
-					barrier.Await(p)
-					embStart := p.Now()
-					s.SetExchangeGate(g, denseStream.BusyUntil())
-					_, topEnd := denseStream.Launch(p, topCost)
-					pl.Backend.RunBatch(s, p, g, in.bd, perGPU[g])
-					barrier.Await(p)
-					embEnd[g] += p.Now() - embStart
-					if cfg.Functional {
-						denseMini := in.dense.Narrow(0, lo, mini).Contiguous()
-						preds[g] = pl.Model.Forward(denseMini, in.bd.Final[g])
-					}
-					p.WaitUntil(topEnd)
-					_, tailEnd := denseStream.Launch(p, tailCost)
-					tailRing[in.bd.Slot] = tailEnd
-					lastTail = tailEnd
-				}
-				p.WaitUntil(lastTail)
-				denseStream.Synchronize(p)
-				barrier.Await(p)
-				return
+	elapsed, last, err := s.Drive(ctx, pl.Backend.Name()+" pipeline", func(p *sim.Proc, g int, ep *retrieval.Epoch) {
+		dev := s.Devs[g]
+		denseStream := dev.NewStream("dense")
+		lo, hi := s.Minibatch(g)
+		mini := hi - lo
+		topCost := dev.MLPKernelCost(pl.Model.Top.FLOPs(mini), pl.Model.Top.Bytes(mini))
+		features := pl.Model.Cfg.NumSparse + 1
+		interFLOPs := float64(mini) * float64(features*(features-1)/2) * float64(2*cfg.Dim)
+		tailCost := dev.MLPKernelCost(
+			interFLOPs+pl.Model.Bottom.FLOPs(mini),
+			pl.Model.DensePathBytes(mini)-pl.Model.Top.Bytes(mini))
+		denseEnd[g] += sim.Duration(ep.Len()) * (topCost + tailCost)
+		forward := func(i int) {
+			if cfg.Functional {
+				denseMini := dense[ep.First+i].Narrow(0, lo, mini).Contiguous()
+				preds[g] = pl.Model.Forward(denseMini, ep.Batch(i).Final[g])
 			}
+		}
 
-			for bi, in := range batches {
-				barrier.Await(p)
-				s.ApplyFaults(bi)
-				// Dense path and EMB retrieval run concurrently (Figure 4):
-				// the top MLP is queued on its own stream, then the EMB
-				// backend drives this process.
+		if depth > 1 {
+			// Software-pipelined schedule (inter-batch double buffering):
+			// the interaction + bottom MLP of batch N stays queued on the
+			// dense stream while this process moves on to batch N+1's EMB
+			// exchange in the next staging slot. A slot is reused only
+			// once its previous occupant's tail has drained (the ring
+			// wait below); the exchange gate tells collective backends
+			// where the dense stream's queue ends, because a collective
+			// kernel cannot overtake compute kernels launched before it —
+			// which is why the baseline overlaps only its pre-collective
+			// phases while one-sided stores (issued from inside the fused
+			// gather kernel) proceed immediately. Fault schedules and
+			// adaptive placement force depth 1, so this schedule always
+			// runs as one epoch and never sees a fault.
+			tailRing := make([]sim.Time, depth)
+			var lastTail sim.Time
+			for i := 0; i < ep.Len(); i++ {
+				bd := ep.Batch(i)
+				p.WaitUntil(tailRing[bd.Slot])
+				ep.Await(p)
 				embStart := p.Now()
+				s.SetExchangeGate(g, denseStream.BusyUntil())
 				_, topEnd := denseStream.Launch(p, topCost)
-				pl.Backend.RunBatch(s, p, g, in.bd, perGPU[g])
-				// The EMB layer is only complete once EVERY GPU's one-sided
-				// stores have landed: quiet covers a GPU's own sends, so the
-				// consumers must rendezvous before touching the gathered
-				// embeddings (the paper's Listing 2 synchronises all
-				// devices' streams for the same reason).
-				barrier.Await(p)
+				pl.Backend.RunBatch(s, p, g, bd, perGPU[g])
+				ep.Await(p)
 				embEnd[g] += p.Now() - embStart
+				forward(i)
 				p.WaitUntil(topEnd)
-				// Interaction + bottom MLP consume the gathered minibatch.
 				_, tailEnd := denseStream.Launch(p, tailCost)
-				p.WaitUntil(tailEnd)
-				denseStream.Synchronize(p)
-
-				if cfg.Functional {
-					denseMini := in.dense.Narrow(0, lo, mini).Contiguous()
-					preds[g] = pl.Model.Forward(denseMini, in.bd.Final[g])
-				}
+				tailRing[bd.Slot] = tailEnd
+				lastTail = tailEnd
 			}
-			barrier.Await(p)
-		})
+			p.WaitUntil(lastTail)
+			denseStream.Synchronize(p)
+			return
+		}
+
+		for i := 0; i < ep.Len(); i++ {
+			ep.Enter(p, i)
+			// Dense path and EMB retrieval run concurrently (Figure 4):
+			// the top MLP is queued on its own stream, then the EMB
+			// backend drives this process.
+			embStart := p.Now()
+			_, topEnd := denseStream.Launch(p, topCost)
+			pl.Backend.RunBatch(s, p, g, ep.Batch(i), perGPU[g])
+			// The EMB layer is only complete once EVERY GPU's one-sided
+			// stores have landed: quiet covers a GPU's own sends, so the
+			// consumers must rendezvous before touching the gathered
+			// embeddings (the paper's Listing 2 synchronises all
+			// devices' streams for the same reason).
+			ep.Await(p)
+			embEnd[g] += p.Now() - embStart
+			p.WaitUntil(topEnd)
+			// Interaction + bottom MLP consume the gathered minibatch.
+			_, tailEnd := denseStream.Launch(p, tailCost)
+			p.WaitUntil(tailEnd)
+			denseStream.Synchronize(p)
+			forward(i)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	if _, err := s.Env.RunContext(ctx); err != nil {
-		return nil, fmt.Errorf("dlrm: %s pipeline run: %w", pl.Backend.Name(), err)
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	res.TotalTime = s.Env.Now() - start
+	res.TotalTime = elapsed
 	for g := 0; g < cfg.GPUs; g++ {
 		if embEnd[g] > res.EMBTime {
 			res.EMBTime = embEnd[g]
@@ -269,10 +234,9 @@ func (pl *Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
 	}
 	res.EMBBreakdown = trace.MergeMax(perGPU...)
 	res.Predictions = preds
-	if cfg.Functional && len(batches) > 0 {
-		last := batches[len(batches)-1]
-		res.LastSparse = last.bd.Sparse
-		res.LastDense = last.dense
+	if cfg.Functional && len(last) > 0 {
+		res.LastSparse = last[len(last)-1].Sparse
+		res.LastDense = dense[len(dense)-1]
 	}
 	return res, nil
 }

@@ -2,7 +2,6 @@ package dlrm
 
 import (
 	"context"
-	"fmt"
 
 	"pgasemb/internal/retrieval"
 	"pgasemb/internal/sim"
@@ -25,20 +24,13 @@ type Trainer struct {
 
 // NewTrainer wires a trainer for the given retrieval configuration. Forward
 // and Backward select the EMB communication scheme for each direction
-// (mixing is allowed — e.g. collective forward with PGAS backward).
+// (mixing is allowed — e.g. collective forward with PGAS backward). Both
+// backends' configuration constraints are validated here.
 func NewTrainer(cfg retrieval.Config, hw retrieval.HardwareParams, fwd, bwd retrieval.Backend) (*Trainer, error) {
 	spec, err := retrieval.NewSystemSpec(cfg, hw)
 	if err != nil {
 		return nil, err
 	}
-	return NewTrainerFromSpec(spec, fwd, bwd)
-}
-
-// NewTrainerFromSpec wires a trainer run from an existing immutable spec —
-// the entry point for executing many training runs of one configuration
-// concurrently. Both backends' configuration constraints are validated here.
-func NewTrainerFromSpec(spec *retrieval.SystemSpec, fwd, bwd retrieval.Backend) (*Trainer, error) {
-	cfg := spec.Config()
 	if err := retrieval.ValidateBackend(fwd, cfg); err != nil {
 		return nil, err
 	}
@@ -95,78 +87,51 @@ func (tr *Trainer) RunContext(ctx context.Context) (*TrainResult, error) {
 	}
 	fwdTime := make([]sim.Duration, cfg.GPUs)
 	bwdTime := make([]sim.Duration, cfg.GPUs)
-
-	batches := make([]*retrieval.BatchData, cfg.Batches)
-	for i := range batches {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bd, err := s.NextBatchData()
-		if err != nil {
-			return nil, err
-		}
-		batches[i] = bd
-	}
-
-	barrier := sim.NewBarrier(s.Env, cfg.GPUs)
-	var runErr error
-	start := s.Env.Now()
-	for g := 0; g < cfg.GPUs; g++ {
-		g := g
-		s.Env.Go(fmt.Sprintf("gpu%d", g), func(p *sim.Proc) {
-			defer func() {
-				if r := recover(); r != nil && runErr == nil {
-					runErr = fmt.Errorf("dlrm: trainer GPU %d: %v", g, r)
-				}
-			}()
-			dev := s.Devs[g]
-			denseStream := dev.NewStream("dense-train")
-			lo, hi := s.Minibatch(g)
-			mini := hi - lo
-			// Dense path costs: forward plus backward ~2x forward FLOPs,
-			// and a data-parallel gradient all-reduce over the MLP weights.
-			denseFwd := dev.MLPKernelCost(tr.Model.DensePathFLOPs(mini), tr.Model.DensePathBytes(mini))
-			denseBwd := 2 * denseFwd
-			var mlpParams int
-			for _, mlp := range []*MLP{tr.Model.Top, tr.Model.Bottom} {
-				for _, l := range mlp.Layers {
-					mlpParams += l.In*l.Out + l.Out
-				}
+	elapsed, _, err := s.Drive(ctx, tr.Forward.Name()+"/"+tr.Backward.Name()+" training", func(p *sim.Proc, g int, ep *retrieval.Epoch) {
+		dev := s.Devs[g]
+		denseStream := dev.NewStream("dense-train")
+		lo, hi := s.Minibatch(g)
+		mini := hi - lo
+		// Dense path costs: forward plus backward ~2x forward FLOPs,
+		// and a data-parallel gradient all-reduce over the MLP weights.
+		denseFwd := dev.MLPKernelCost(tr.Model.DensePathFLOPs(mini), tr.Model.DensePathBytes(mini))
+		denseBwd := 2 * denseFwd
+		var mlpParams int
+		for _, mlp := range []*MLP{tr.Model.Top, tr.Model.Bottom} {
+			for _, l := range mlp.Layers {
+				mlpParams += l.In*l.Out + l.Out
 			}
-			for _, bd := range batches {
-				barrier.Await(p)
+		}
+		for i := 0; i < ep.Len(); i++ {
+			bd := ep.Batch(i)
+			ep.Enter(p, i)
 
-				// EMB forward, concurrent with the dense forward.
-				t0 := p.Now()
-				_, denseEnd := denseStream.Launch(p, denseFwd)
-				tr.Forward.RunBatch(s, p, g, bd, perGPU[g])
-				barrier.Await(p) // EMB outputs complete on every GPU
-				fwdTime[g] += p.Now() - t0
-				p.WaitUntil(denseEnd)
+			// EMB forward, concurrent with the dense forward.
+			t0 := p.Now()
+			_, denseEnd := denseStream.Launch(p, denseFwd)
+			tr.Forward.RunBatch(s, p, g, bd, perGPU[g])
+			ep.Await(p) // EMB outputs complete on every GPU
+			fwdTime[g] += p.Now() - t0
+			p.WaitUntil(denseEnd)
 
-				// Dense backward + MLP gradient all-reduce (data parallel;
-				// bulk-synchronous entry like every collective).
-				_, dbEnd := denseStream.Launch(p, denseBwd)
-				p.WaitUntil(dbEnd)
-				barrier.Await(p)
-				p.Wait(allReduceTime(s, g, 4*float64(mlpParams)))
+			// Dense backward + MLP gradient all-reduce (data parallel;
+			// bulk-synchronous entry like every collective).
+			_, dbEnd := denseStream.Launch(p, denseBwd)
+			p.WaitUntil(dbEnd)
+			ep.Await(p)
+			p.Wait(allReduceTime(s, g, 4*float64(mlpParams)))
 
-				// EMB backward.
-				t1 := p.Now()
-				tr.Backward.RunBatch(s, p, g, bd, perGPU[g])
-				barrier.Await(p) // gradient pushes complete everywhere
-				bwdTime[g] += p.Now() - t1
-			}
-			barrier.Await(p)
-		})
+			// EMB backward.
+			t1 := p.Now()
+			tr.Backward.RunBatch(s, p, g, bd, perGPU[g])
+			ep.Await(p) // gradient pushes complete everywhere
+			bwdTime[g] += p.Now() - t1
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	if _, err := s.Env.RunContext(ctx); err != nil {
-		return nil, fmt.Errorf("dlrm: %s/%s training run: %w", tr.Forward.Name(), tr.Backward.Name(), err)
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	res.TotalTime = s.Env.Now() - start
+	res.TotalTime = elapsed
 	for g := 0; g < cfg.GPUs; g++ {
 		if fwdTime[g] > res.EMBForward {
 			res.EMBForward = fwdTime[g]

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pgasemb/internal/retrieval"
 	"pgasemb/internal/sim"
 )
 
@@ -242,6 +243,16 @@ func TestBenchRecordsRunsPerPoint(t *testing.T) {
 		{"ablations", "ablations-2gpu", func(o Options) (int, error) {
 			r, err := RunAblations(ctx, 2, o)
 			return len(r), err
+		}},
+		{"pairs", "sweep-chunks", func(o Options) (int, error) {
+			var cfgs []retrieval.Config
+			for _, c := range []int{4, 16} {
+				cfg := retrieval.WeakScalingConfig(2)
+				cfg.ChunksPerKernel = c
+				cfgs = append(cfgs, cfg)
+			}
+			r, err := RunPairs(ctx, "sweep-chunks", cfgs, o)
+			return 2 * len(r), err
 		}},
 		{"pipeline-depth", "pipeline-depth-2gpu", func(o Options) (int, error) {
 			r, err := RunPipelineDepth(ctx, 2, []int{1, 2}, o)

@@ -210,6 +210,35 @@ func (r *ScalingResult) BaselineTotals() []float64 {
 	return out
 }
 
+// RunPairs runs each configuration under the baseline and under the
+// accelerated backend (the one name in Options.Backends, default
+// pgas-fused) on the worker pool, recording the sweep under name, and
+// returns each configuration's (baseline, accelerated) results in order —
+// the sensitivity sweeps over one configuration axis.
+func RunPairs(ctx context.Context, name string, cfgs []retrieval.Config, opts Options) ([][2]*retrieval.Result, error) {
+	accel, err := opts.accelerated()
+	if err != nil {
+		return nil, err
+	}
+	var runs []specRun
+	for i, cfg := range cfgs {
+		spec, err := retrieval.NewSystemSpec(opts.config(cfg), opts.hardware(0))
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s, point %d: %w", name, i, err)
+		}
+		runs = append(runs, pair(spec, accel)...)
+	}
+	results, err := sweep(ctx, opts, name, runs, runSpec)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][2]*retrieval.Result, len(cfgs))
+	for i := range out {
+		out[i] = [2]*retrieval.Result{results[2*i], results[2*i+1]}
+	}
+	return out, nil
+}
+
 // CommVolumeResult carries the data behind Figures 7 and 10: communication
 // volume over time for both implementations on a given GPU count.
 type CommVolumeResult struct {

@@ -1,14 +1,16 @@
 package retrieval
 
 import (
+	"context"
 	"fmt"
 
-	"pgasemb/internal/sim"
 	"pgasemb/internal/trace"
 )
 
 // BenchLoop drives n barrier-synchronised batches of backend b over ONE
-// pre-generated batch, for Go benchmarks of the per-batch hot path. Input
+// pre-generated batch, for Go benchmarks of the per-batch hot path. It is
+// the EMB schedule of System.RunContext on the run driver's epoch, so step i
+// enters like run batch i, fault schedule included. Input
 // generation, cache/dedup classification and buffer attachment run once,
 // outside the measured loop, so what the loop exercises is exactly the
 // steady-state RunBatch path — the code the per-run arenas keep
@@ -30,30 +32,24 @@ func BenchLoop(s *System, b Backend, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("retrieval: BenchLoop needs a positive batch count, got %d", n)
 	}
-	l, err := prepareBenchLoop(s, b)
+	ep, err := prepareBenchLoop(s, b)
 	if err != nil {
 		return err
 	}
-	return l.run(n)
+	return ep.run(context.Background(), n)
 }
 
-// benchLoop is BenchLoop split at its measurement boundary:
-// prepareBenchLoop generates and classifies the batches and spawns the GPU
-// processes, run drives them. Allocation tests time only run, so the
-// one-time setup never shows up in allocs/op however small b.N is (under
-// -race b.N shrinks enough for setup/N to round up to 1).
-type benchLoop struct {
-	s   *System
-	n   int
-	err error
-}
-
-func prepareBenchLoop(s *System, b Backend) (*benchLoop, error) {
+// prepareBenchLoop is BenchLoop's half before its measurement boundary: it
+// generates and classifies one batch per pipeline slot and spawns the GPU
+// processes over the EMB schedule; the returned epoch's run drives them.
+// Allocation tests time only run, so the one-time setup never shows up in
+// allocs/op however small b.N is (under -race b.N shrinks enough for
+// setup/N to round up to 1).
+func prepareBenchLoop(s *System, b Backend) (*Epoch, error) {
 	if err := ValidateBackend(b, s.Cfg); err != nil {
 		return nil, err
 	}
-	depth := s.PipelineDepth()
-	bds := make([]*BatchData, depth)
+	bds := make([]*BatchData, s.PipelineDepth())
 	for i := range bds {
 		bd, err := s.NextBatchData()
 		if err != nil {
@@ -65,45 +61,7 @@ func prepareBenchLoop(s *System, b Backend) (*benchLoop, error) {
 	for g := range bks {
 		bks[g] = &trace.Breakdown{}
 	}
-	barrier := sim.NewBarrier(s.Env, s.Cfg.GPUs)
-	var win *sim.Window
-	if depth > 1 {
-		win = sim.NewWindow(s.Env, s.Cfg.GPUs, depth)
-	}
-	l := &benchLoop{s: s}
-	for g := 0; g < s.Cfg.GPUs; g++ {
-		g := g
-		s.Env.Go(fmt.Sprintf("gpu%d", g), func(p *sim.Proc) {
-			defer func() {
-				if r := recover(); r != nil && l.err == nil {
-					l.err = fmt.Errorf("retrieval: GPU %d: %v", g, r)
-				}
-			}()
-			if win != nil {
-				for i := 0; i < l.n; i++ {
-					win.Enter(p, i)
-					b.RunBatch(s, p, g, bds[i%depth], bks[g])
-					win.Retire(g)
-				}
-				barrier.Await(p)
-				return
-			}
-			for i := 0; i < l.n; i++ {
-				barrier.Await(p)
-				b.RunBatch(s, p, g, bds[0], bks[g])
-			}
-			barrier.Await(p)
-		})
-	}
-	return l, nil
-}
-
-// run drives n batches through the prepared processes. It may be called
-// once: the processes finish with the loop.
-func (l *benchLoop) run(n int) error {
-	l.n = n
-	l.s.Env.Run()
-	return l.err
+	return s.startEpoch(b.Name()+" bench", bds, 0, s.embBody(b, bks)), nil
 }
 
 // PlanCompileLoop drives n route-plan compilations over ONE materialised

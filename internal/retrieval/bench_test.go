@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"testing"
 
 	"pgasemb/internal/workload"
@@ -42,7 +43,7 @@ func benchRunHW(b *testing.B, cfg Config, hw HardwareParams, backend Backend) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := loop.run(b.N); err != nil {
+	if err := loop.run(context.Background(), b.N); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -242,7 +243,7 @@ func TestMultiNodeSteadyStateZeroAllocs(t *testing.T) {
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
-				if err := loop.run(b.N); err != nil {
+				if err := loop.run(context.Background(), b.N); err != nil {
 					b.Fatal(err)
 				}
 			})

@@ -176,47 +176,6 @@ func (s *System) classifyHotMirror(bd *BatchData) *CacheView {
 	return view
 }
 
-// runAdaptive is RunContext's adaptive-placement body: batches are generated
-// and executed one rebalance epoch at a time, so every epoch's route plans
-// are compiled against the placement that actually executes it, and the
-// controller decides between epochs with the epoch's statistics folded in.
-// Migration traffic from a swap is charged to the fabric before the next
-// epoch starts.
-func (s *System) runAdaptive(ctx context.Context, b Backend, res *Result) (*Result, error) {
-	start := s.Env.Now()
-	var lastEpoch []*BatchData
-	for done := 0; done < s.Cfg.Batches; {
-		n := s.Cfg.RebalanceEvery
-		if rem := s.Cfg.Batches - done; rem < n {
-			n = rem
-		}
-		epoch := make([]*BatchData, n)
-		for i := range epoch {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			bd, err := s.NextBatchData()
-			if err != nil {
-				return nil, err
-			}
-			epoch[i] = bd
-		}
-		if err := s.runEpoch(ctx, b, res, epoch, done); err != nil {
-			return nil, err
-		}
-		done += n
-		lastEpoch = epoch
-		if done < s.Cfg.Batches && s.placeCtl.Due(done) {
-			if err := s.rebalanceNow(ctx); err != nil {
-				return nil, err
-			}
-		}
-	}
-	res.TotalTime = s.Env.Now() - start
-	s.finishResult(res, b, lastEpoch)
-	return res, nil
-}
-
 // rebalanceNow asks the controller for an epoch decision and applies it to
 // the machine: the plan swap (shards re-pointed, no weights copied), the
 // mirror-set update, and the migration traffic both cost — charged on the

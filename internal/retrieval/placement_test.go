@@ -288,7 +288,7 @@ func TestAdaptivePlacementSteadyStateZeroAllocs(t *testing.T) {
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		if err := loop.run(b.N); err != nil {
+		if err := loop.run(context.Background(), b.N); err != nil {
 			b.Fatal(err)
 		}
 	})

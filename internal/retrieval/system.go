@@ -657,84 +657,11 @@ func (s *System) RunContext(ctx context.Context, b Backend) (*Result, error) {
 		s.Net.Reset()
 	}
 	s.resetOwnerLoad()
-	if s.placementEnabled() {
-		// Adaptive placement runs epoch-chunked: batches are generated one
-		// rebalance epoch at a time so each epoch's route plans are compiled
-		// against the placement that will actually execute it.
-		return s.runAdaptive(ctx, b, res)
-	}
-
-	batches := make([]*BatchData, s.Cfg.Batches)
-	for i := range batches {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bd, err := s.NextBatchData()
-		if err != nil {
-			return nil, err
-		}
-		batches[i] = bd
-	}
-
-	start := s.Env.Now()
-	if err := s.runEpoch(ctx, b, res, batches, 0); err != nil {
+	elapsed, last, err := s.Drive(ctx, b.Name(), s.embBody(b, res.PerGPU))
+	if err != nil {
 		return nil, err
 	}
-	res.TotalTime = s.Env.Now() - start
-	s.finishResult(res, b, batches)
-	return res, nil
-}
-
-// runEpoch executes the given batches on all GPUs — the inner loop of a run.
-// firstBatch offsets the fault schedule's batch indices for epoch-chunked
-// adaptive-placement runs, whose batches arrive one rebalance epoch at a time.
-func (s *System) runEpoch(ctx context.Context, b Backend, res *Result, batches []*BatchData, firstBatch int) error {
-	barrier := sim.NewBarrier(s.Env, s.Cfg.GPUs)
-	depth := s.PipelineDepth()
-	var win *sim.Window
-	if depth > 1 {
-		win = sim.NewWindow(s.Env, s.Cfg.GPUs, depth)
-	}
-	var runErr error
-	for g := 0; g < s.Cfg.GPUs; g++ {
-		g := g
-		s.Env.Go(fmt.Sprintf("gpu%d", g), func(p *sim.Proc) {
-			defer func() {
-				if r := recover(); r != nil && runErr == nil {
-					runErr = fmt.Errorf("retrieval: GPU %d: %v", g, r)
-				}
-			}()
-			if win != nil {
-				// Pipelined: the sliding window lets this GPU run up to
-				// depth-1 batches ahead of the slowest one, so a fast GPU's
-				// next exchange overlaps a slow GPU's current batch. Fault
-				// schedules force depth 1, so ApplyFaults never runs here.
-				for bi, bd := range batches {
-					win.Enter(p, bi)
-					b.RunBatch(s, p, g, bd, res.PerGPU[g])
-					win.Retire(g)
-				}
-				barrier.Await(p) // final rendezvous so TotalTime is the makespan
-				return
-			}
-			for bi, bd := range batches {
-				barrier.Await(p)
-				s.ApplyFaults(firstBatch + bi)
-				b.RunBatch(s, p, g, bd, res.PerGPU[g])
-			}
-			barrier.Await(p) // final rendezvous so TotalTime is the makespan
-		})
-	}
-	if _, err := s.Env.RunContext(ctx); err != nil {
-		return fmt.Errorf("retrieval: %s run: %w", b.Name(), err)
-	}
-	return runErr
-}
-
-// finishResult fills the post-run summary fields shared by the lockstep and
-// adaptive-placement paths; batches is the final epoch's inputs (for the
-// functional last-batch capture).
-func (s *System) finishResult(res *Result, b Backend, batches []*BatchData) {
+	res.TotalTime = elapsed
 	res.Breakdown = trace.MergeMax(res.PerGPU...)
 	res.CommTrace = s.commTrace(b)
 	res.DedupStats = s.dedupStats
@@ -755,11 +682,11 @@ func (s *System) finishResult(res *Result, b Backend, batches []*BatchData) {
 		res.ProxyRetries += pe.Retries()
 		res.ProxyRetriesExhausted += pe.RetriesExhausted()
 	}
-	if s.Cfg.Functional && len(batches) > 0 {
-		last := batches[len(batches)-1]
-		res.Final = last.Final
-		res.LastBatch = last.Sparse
+	if s.Cfg.Functional && len(last) > 0 {
+		res.Final = last[len(last)-1].Final
+		res.LastBatch = last[len(last)-1].Sparse
 	}
+	return res, nil
 }
 
 // CommTracer is implemented by backends whose communication rides a single,
