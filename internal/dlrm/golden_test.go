@@ -35,7 +35,7 @@ func goldenConfig() retrieval.Config {
 // goldenRuns returns every pinned run as name -> golden line: each
 // registered backend as the Pipeline's EMB layer and as the Trainer's
 // forward pass (paired with both backward backends), at pipeline depth 1
-// and 2, on a single node and (Pipeline only) a 2-node cluster, plus a
+// and 2, on a single node and a 2-node cluster, plus a
 // replicated Pipeline under the flaky-link fault schedule.
 func goldenRuns(t *testing.T) map[string]string {
 	flaky, err := fault.Profile("flaky-link", 99)
@@ -81,9 +81,6 @@ func goldenRuns(t *testing.T) map[string]string {
 				cfg := goldenConfig()
 				cfg.PipelineDepth = depth
 				pipeline(fmt.Sprintf("pipeline/%s/%s/depth%d", name, m.name, depth), cfg, m.hw, backend(name))
-				if m.hw.Nodes > 0 {
-					continue // the trainer's all-reduce estimate needs an NVLink pipe between ring neighbours
-				}
 				for _, bwd := range []retrieval.Backend{&retrieval.BackwardBaseline{}, &retrieval.BackwardPGAS{}} {
 					label := fmt.Sprintf("trainer/%s+%s/%s/depth%d", name, bwd.Name(), m.name, depth)
 					tr, err := NewTrainer(cfg, m.hw, backend(name), bwd)

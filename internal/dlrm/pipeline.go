@@ -23,7 +23,7 @@ type Pipeline struct {
 	Backend retrieval.Backend
 	Model   *Model
 
-	denseGen *workload.Generator
+	denseGen *workload.Generator // functional runs only
 }
 
 // NewPipeline wires a pipeline for the given retrieval configuration and
@@ -59,22 +59,25 @@ func NewPipelineRun(spec *retrieval.SystemSpec, backend retrieval.Backend, model
 	if err != nil {
 		return nil, err
 	}
-	// A second generator over the same workload config supplies the dense
-	// inputs; its dense stream is independent of the sparse draws, so it
-	// stays in sync with the retrieval system's batches.
-	gen, err := workload.NewGenerator(workload.Config{
-		NumFeatures: cfg.TotalTables,
-		BatchSize:   cfg.BatchSize,
-		MinPooling:  cfg.MinPooling,
-		MaxPooling:  cfg.MaxPooling,
-		IndexSpace:  int64(cfg.Rows),
-		NumDense:    model.Cfg.DenseFeatures,
-		Seed:        seed,
-	})
-	if err != nil {
-		return nil, err
+	pl := &Pipeline{Sys: sys, Backend: backend, Model: model}
+	if cfg.Functional {
+		// A second generator over the same workload config supplies the
+		// dense inputs; its dense stream is independent of the sparse draws,
+		// so it stays in sync with the retrieval system's batches. Timing
+		// runs never read dense values, so they skip it.
+		if pl.denseGen, err = workload.NewGenerator(workload.Config{
+			NumFeatures: cfg.TotalTables,
+			BatchSize:   cfg.BatchSize,
+			MinPooling:  cfg.MinPooling,
+			MaxPooling:  cfg.MaxPooling,
+			IndexSpace:  int64(cfg.Rows),
+			NumDense:    model.Cfg.DenseFeatures,
+			Seed:        seed,
+		}); err != nil {
+			return nil, err
+		}
 	}
-	return &Pipeline{Sys: sys, Backend: backend, Model: model, denseGen: gen}, nil
+	return pl, nil
 }
 
 // PipelineResult summarises a timed inference run.
@@ -127,17 +130,17 @@ func (pl *Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
 	}
 	embEnd := make([]sim.Duration, cfg.GPUs)
 	denseEnd := make([]sim.Duration, cfg.GPUs)
-	// The dense inputs come from their own generator, independent of the
-	// retrieval system's sparse draws; dense[i] belongs to run batch i.
-	dense := make([]*tensor.Tensor, cfg.Batches)
-	for i := range dense {
-		dense[i] = pl.denseGen.NextDense()
-	}
-	depth := s.PipelineDepth()
-	var preds []*tensor.Tensor
+	// Functional runs draw dense inputs from their own generator,
+	// independent of the sparse draws; dense[i] belongs to run batch i.
+	var dense, preds []*tensor.Tensor
 	if cfg.Functional {
+		dense = make([]*tensor.Tensor, cfg.Batches)
+		for i := range dense {
+			dense[i] = pl.denseGen.NextDense()
+		}
 		preds = make([]*tensor.Tensor, cfg.GPUs)
 	}
+	depth := s.PipelineDepth()
 	elapsed, last, err := s.Drive(ctx, pl.Backend.Name()+" pipeline", func(p *sim.Proc, g int, ep *retrieval.Epoch) {
 		dev := s.Devs[g]
 		denseStream := dev.NewStream("dense")

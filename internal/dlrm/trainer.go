@@ -145,14 +145,19 @@ func (tr *Trainer) RunContext(ctx context.Context) (*TrainResult, error) {
 }
 
 // allReduceTime estimates the ring all-reduce time for the MLP gradients
-// without moving functional data.
+// without moving functional data. GPU g's hop to its ring successor runs
+// over their NVLink pair, or over the NIC when the successor sits on another
+// node.
 func allReduceTime(s *retrieval.System, g int, bytes float64) sim.Duration {
 	n := s.Cfg.GPUs
 	if n == 1 {
 		return 0
 	}
 	next := (g + 1) % n
-	bw := s.Fab.PairBandwidth(g, next)
+	bw := s.HW.NIC.Bandwidth
+	if s.NodeOf(g) == s.NodeOf(next) {
+		bw = s.Fab.PairBandwidth(g, next)
+	}
 	if cb := s.HW.Collective.ChannelBandwidth; cb < bw {
 		bw = cb
 	}

@@ -109,3 +109,40 @@ func TestTrainerSingleGPU(t *testing.T) {
 		t.Fatal("single-GPU training produced no time")
 	}
 }
+
+// A 4-GPU trainer on two nodes runs end to end: the gradient ring's hops
+// from GPU 1 to 2 and from 3 to 0 cross nodes and are priced on the NIC,
+// capped by the collective channel bandwidth; same-node hops stay on NVLink.
+func TestTrainerMultiNode(t *testing.T) {
+	cfg := retrieval.TestScaleConfig(4)
+	hw := retrieval.ClusterHardware(2)
+	tr, err := NewTrainer(cfg, hw, &retrieval.PGASFused{}, &retrieval.BackwardPGAS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tr.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalTime <= 0 || res.EMBForward <= 0 || res.EMBBackward <= 0 {
+		t.Fatalf("times: total=%v fwd=%v bwd=%v", res.TotalTime, res.EMBForward, res.EMBBackward)
+	}
+	s := tr.Sys
+	const bytes = 1 << 20
+	ring := func(bw float64) float64 {
+		if cb := s.HW.Collective.ChannelBandwidth; cb < bw {
+			bw = cb
+		}
+		return 2 * 3 * (bytes / 4 / bw)
+	}
+	for g := 0; g < 4; g++ {
+		next := (g + 1) % 4
+		want := ring(s.HW.NIC.Bandwidth)
+		if s.NodeOf(g) == s.NodeOf(next) {
+			want = ring(s.Fab.PairBandwidth(g, next))
+		}
+		if got := allReduceTime(s, g, bytes); got != want {
+			t.Errorf("GPU %d -> %d hop: all-reduce time %g, want %g", g, next, got, want)
+		}
+	}
+}

@@ -29,31 +29,6 @@ func HashIndex(raw int64, rows int) int {
 	return int(z % uint64(rows))
 }
 
-// PoolingMode selects how a bag's embedding vectors combine into one.
-type PoolingMode int
-
-const (
-	// SumPooling element-wise sums the bag (the paper's pooling operation).
-	SumPooling PoolingMode = iota
-	// MeanPooling divides the sum by the bag size.
-	MeanPooling
-	// MaxPooling takes the element-wise maximum.
-	MaxPooling
-)
-
-func (m PoolingMode) String() string {
-	switch m {
-	case SumPooling:
-		return "sum"
-	case MeanPooling:
-		return "mean"
-	case MaxPooling:
-		return "max"
-	default:
-		return fmt.Sprintf("PoolingMode(%d)", int(m))
-	}
-}
-
 // Table is one embedding table: Rows learned vectors of dimension Dim.
 type Table struct {
 	Rows, Dim int
@@ -77,66 +52,32 @@ func NewTable(rows, dim int, rng *sim.RNG) *Table {
 // Bytes returns the table's device-memory footprint.
 func (t *Table) Bytes() int64 { return int64(t.Rows) * int64(t.Dim) * 4 }
 
-// LookupPooled hashes every raw index in bag, gathers the rows and pools
-// them into out (length Dim). An empty bag yields zeros — the NULL case of
-// the paper's Figure 3.
-func (t *Table) LookupPooled(bag []int64, mode PoolingMode, out []float32) {
+// LookupPooled hashes every raw index in bag, gathers the rows and
+// sum-pools them into out (length Dim) — the paper's pooling operation. An
+// empty bag yields zeros — the NULL case of the paper's Figure 3.
+func (t *Table) LookupPooled(bag []int64, out []float32) {
 	if len(out) != t.Dim {
 		panic(fmt.Sprintf("embedding: output length %d != dim %d", len(out), t.Dim))
 	}
 	for i := range out {
 		out[i] = 0
 	}
-	if len(bag) == 0 {
-		return
-	}
 	w := t.Weights.Data()
-	switch mode {
-	case SumPooling, MeanPooling:
-		for _, raw := range bag {
-			row := HashIndex(raw, t.Rows)
-			vec := w[row*t.Dim : (row+1)*t.Dim]
-			for i, v := range vec {
-				out[i] += v
-			}
+	for _, raw := range bag {
+		row := HashIndex(raw, t.Rows)
+		vec := w[row*t.Dim : (row+1)*t.Dim]
+		for i, v := range vec {
+			out[i] += v
 		}
-		if mode == MeanPooling {
-			inv := 1 / float32(len(bag))
-			for i := range out {
-				out[i] *= inv
-			}
-		}
-	case MaxPooling:
-		first := true
-		for _, raw := range bag {
-			row := HashIndex(raw, t.Rows)
-			vec := w[row*t.Dim : (row+1)*t.Dim]
-			if first {
-				copy(out, vec)
-				first = false
-				continue
-			}
-			for i, v := range vec {
-				if v > out[i] {
-					out[i] = v
-				}
-			}
-		}
-	default:
-		panic(fmt.Sprintf("embedding: unknown pooling mode %d", mode))
 	}
 }
 
 // LookupPooledPartial is the row-wise-sharded lookup: it pools ONLY the bag
 // entries whose hashed row falls in [rowLo, rowHi) — one GPU's row shard —
 // into out. Summing the partials across all shards reproduces LookupPooled
-// exactly (for sum pooling; partial mean/max are not well-defined and
-// panic). It reports how many rows contributed, so callers can skip empty
+// exactly. It reports how many rows contributed, so callers can skip empty
 // partials on the wire.
-func (t *Table) LookupPooledPartial(bag []int64, mode PoolingMode, out []float32, rowLo, rowHi int) int {
-	if mode != SumPooling {
-		panic(fmt.Sprintf("embedding: partial lookup requires sum pooling, got %v", mode))
-	}
+func (t *Table) LookupPooledPartial(bag []int64, out []float32, rowLo, rowHi int) int {
 	if len(out) != t.Dim {
 		panic(fmt.Sprintf("embedding: output length %d != dim %d", len(out), t.Dim))
 	}
@@ -187,7 +128,7 @@ func minInt(a, b int) int {
 
 // AccumulateGrad adds grad into the rows a bag's lookup touched — the
 // backward pass of sum pooling, used by the backward-pass extension
-// experiments. Mean/max backward are not needed by the paper's workloads.
+// experiments.
 func (t *Table) AccumulateGrad(bag []int64, grad []float32) {
 	if len(grad) != t.Dim {
 		panic(fmt.Sprintf("embedding: grad length %d != dim %d", len(grad), t.Dim))
@@ -208,34 +149,18 @@ type Collection struct {
 	FeatureIDs []int
 	Tables     []*Table
 	Dim        int
-	Mode       PoolingMode
 }
 
-// NewCollection builds a collection with one fresh table per feature ID.
-func NewCollection(featureIDs []int, rows, dim int, mode PoolingMode, rng *sim.RNG) *Collection {
-	rowsPer := make([]int, len(featureIDs))
-	for i := range rowsPer {
-		rowsPer[i] = rows
-	}
-	return NewCollectionWithRows(featureIDs, rowsPer, dim, mode, rng)
-}
-
-// NewCollectionWithRows builds a collection with heterogeneous table sizes:
-// rowsPer[i] rows for featureIDs[i]. Real feature populations mix tiny
-// tables (US states) with huge ones (browsed pages); planners must place
-// them under both memory and load constraints.
-func NewCollectionWithRows(featureIDs []int, rowsPer []int, dim int, mode PoolingMode, rng *sim.RNG) *Collection {
-	if len(rowsPer) != len(featureIDs) {
-		panic(fmt.Sprintf("embedding: %d row counts for %d features", len(rowsPer), len(featureIDs)))
-	}
+// NewCollection builds a collection with one fresh rows x dim table per
+// feature ID.
+func NewCollection(featureIDs []int, rows, dim int, rng *sim.RNG) *Collection {
 	c := &Collection{
 		FeatureIDs: append([]int(nil), featureIDs...),
 		Tables:     make([]*Table, len(featureIDs)),
 		Dim:        dim,
-		Mode:       mode,
 	}
 	for i := range featureIDs {
-		c.Tables[i] = NewTable(rowsPer[i], dim, rng)
+		c.Tables[i] = NewTable(rows, dim, rng)
 	}
 	return c
 }
@@ -274,7 +199,7 @@ func (c *Collection) Forward(batch *sparse.Batch) *tensor.Tensor {
 		tbl := c.Tables[ti]
 		for s := 0; s < batch.Size; s++ {
 			off := (s*len(batch.Features) + fi) * c.Dim
-			tbl.LookupPooled(fb.Bag(s), c.Mode, data[off:off+c.Dim])
+			tbl.LookupPooled(fb.Bag(s), data[off:off+c.Dim])
 		}
 	}
 	return out

@@ -82,7 +82,7 @@ func TestLookupPooledSum(t *testing.T) {
 	tbl := NewTable(50, 4, sim.NewRNG(2))
 	bag := []int64{7, 19, 7} // duplicate raw index counts twice
 	out := make([]float32, 4)
-	tbl.LookupPooled(bag, SumPooling, out)
+	tbl.LookupPooled(bag, out)
 	want := make([]float32, 4)
 	for _, raw := range bag {
 		for i, v := range hashedRow(tbl, raw) {
@@ -96,72 +96,25 @@ func TestLookupPooledSum(t *testing.T) {
 	}
 }
 
-func TestLookupPooledMean(t *testing.T) {
-	tbl := NewTable(50, 4, sim.NewRNG(3))
-	bag := []int64{1, 2, 3, 4}
-	sum := make([]float32, 4)
-	tbl.LookupPooled(bag, SumPooling, sum)
-	mean := make([]float32, 4)
-	tbl.LookupPooled(bag, MeanPooling, mean)
-	for i := range sum {
-		if math.Abs(float64(mean[i]-sum[i]/4)) > 1e-6 {
-			t.Fatalf("mean != sum/4 at %d", i)
-		}
-	}
-}
-
-func TestLookupPooledMax(t *testing.T) {
-	tbl := NewTable(50, 4, sim.NewRNG(4))
-	bag := []int64{11, 22}
-	out := make([]float32, 4)
-	tbl.LookupPooled(bag, MaxPooling, out)
-	a, b := hashedRow(tbl, 11), hashedRow(tbl, 22)
-	for i := range out {
-		want := a[i]
-		if b[i] > want {
-			want = b[i]
-		}
-		if out[i] != want {
-			t.Fatalf("max pooling out[%d] = %v, want %v", i, out[i], want)
-		}
-	}
-}
-
 func TestLookupEmptyBagZeros(t *testing.T) {
 	tbl := NewTable(50, 4, sim.NewRNG(5))
 	out := []float32{9, 9, 9, 9}
-	tbl.LookupPooled(nil, SumPooling, out)
+	tbl.LookupPooled(nil, out)
 	for _, v := range out {
 		if v != 0 {
 			t.Fatal("NULL bag must produce zeros")
-		}
-	}
-	tbl.LookupPooled(nil, MaxPooling, out)
-	for _, v := range out {
-		if v != 0 {
-			t.Fatal("NULL bag must produce zeros under max pooling too")
 		}
 	}
 }
 
 func TestLookupValidation(t *testing.T) {
 	tbl := NewTable(50, 4, sim.NewRNG(6))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("wrong out length did not panic")
-			}
-		}()
-		tbl.LookupPooled([]int64{1}, SumPooling, make([]float32, 3))
+	defer func() {
+		if recover() == nil {
+			t.Error("wrong out length did not panic")
+		}
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("unknown mode did not panic")
-			}
-		}()
-		tbl.LookupPooled([]int64{1}, PoolingMode(99), make([]float32, 4))
-	}()
+	tbl.LookupPooled([]int64{1}, make([]float32, 3))
 }
 
 func TestAccumulateGrad(t *testing.T) {
@@ -185,7 +138,7 @@ func TestAccumulateGrad(t *testing.T) {
 
 func TestCollectionForward(t *testing.T) {
 	rng := sim.NewRNG(8)
-	c := NewCollection([]int{5, 9}, 20, 3, SumPooling, rng)
+	c := NewCollection([]int{5, 9}, 20, 3, rng)
 	if c.Bytes() != 2*20*3*4 {
 		t.Fatalf("collection bytes = %d", c.Bytes())
 	}
@@ -202,7 +155,7 @@ func TestCollectionForward(t *testing.T) {
 	}
 	// Sample 0, feature index 0 in batch order (= global feature 9), bag {4}.
 	want := make([]float32, 3)
-	c.Tables[1].LookupPooled([]int64{4}, SumPooling, want) // table for ID 9
+	c.Tables[1].LookupPooled([]int64{4}, want) // table for ID 9
 	for i := 0; i < 3; i++ {
 		if out.At(0, 0, i) != want[i] {
 			t.Fatalf("forward (0,0,:) wrong at %d", i)
@@ -217,7 +170,7 @@ func TestCollectionForward(t *testing.T) {
 }
 
 func TestCollectionForwardUnknownFeaturePanics(t *testing.T) {
-	c := NewCollection([]int{0}, 10, 2, SumPooling, sim.NewRNG(9))
+	c := NewCollection([]int{0}, 10, 2, sim.NewRNG(9))
 	batch := &sparse.Batch{
 		Size:     1,
 		Features: []sparse.FeatureBag{{FeatureID: 3, Offsets: []int32{0, 0}}},
@@ -318,26 +271,17 @@ func TestPlanPanics(t *testing.T) {
 	}()
 }
 
-func TestPoolingModeString(t *testing.T) {
-	if SumPooling.String() != "sum" || MeanPooling.String() != "mean" || MaxPooling.String() != "max" {
-		t.Fatal("pooling mode names wrong")
-	}
-	if PoolingMode(42).String() != "PoolingMode(42)" {
-		t.Fatal("unknown mode string wrong")
-	}
-}
-
 func TestLookupPooledPartialSumsToFull(t *testing.T) {
 	tbl := NewTable(64, 4, sim.NewRNG(21))
 	bag := []int64{3, 17, 99, 256, 1024, 17}
 	full := make([]float32, 4)
-	tbl.LookupPooled(bag, SumPooling, full)
+	tbl.LookupPooled(bag, full)
 	sum := make([]float32, 4)
 	part := make([]float32, 4)
 	totalHits := 0
 	for g := 0; g < 3; g++ {
 		lo, hi := RowShardRange(64, 3, g)
-		totalHits += tbl.LookupPooledPartial(bag, SumPooling, part, lo, hi)
+		totalHits += tbl.LookupPooledPartial(bag, part, lo, hi)
 		for i := range sum {
 			sum[i] += part[i]
 		}
@@ -355,7 +299,7 @@ func TestLookupPooledPartialSumsToFull(t *testing.T) {
 func TestLookupPooledPartialEmptyShard(t *testing.T) {
 	tbl := NewTable(100, 2, sim.NewRNG(22))
 	out := []float32{9, 9}
-	hits := tbl.LookupPooledPartial(nil, SumPooling, out, 0, 50)
+	hits := tbl.LookupPooledPartial(nil, out, 0, 50)
 	if hits != 0 || out[0] != 0 || out[1] != 0 {
 		t.Fatal("empty bag partial must be zero with no hits")
 	}
@@ -364,11 +308,10 @@ func TestLookupPooledPartialEmptyShard(t *testing.T) {
 func TestLookupPooledPartialValidation(t *testing.T) {
 	tbl := NewTable(100, 2, sim.NewRNG(23))
 	cases := []func(){
-		func() { tbl.LookupPooledPartial(nil, MeanPooling, make([]float32, 2), 0, 50) },
-		func() { tbl.LookupPooledPartial(nil, SumPooling, make([]float32, 3), 0, 50) },
-		func() { tbl.LookupPooledPartial(nil, SumPooling, make([]float32, 2), -1, 50) },
-		func() { tbl.LookupPooledPartial(nil, SumPooling, make([]float32, 2), 60, 50) },
-		func() { tbl.LookupPooledPartial(nil, SumPooling, make([]float32, 2), 0, 101) },
+		func() { tbl.LookupPooledPartial(nil, make([]float32, 3), 0, 50) },
+		func() { tbl.LookupPooledPartial(nil, make([]float32, 2), -1, 50) },
+		func() { tbl.LookupPooledPartial(nil, make([]float32, 2), 60, 50) },
+		func() { tbl.LookupPooledPartial(nil, make([]float32, 2), 0, 101) },
 	}
 	for i, c := range cases {
 		c := c

@@ -11,7 +11,7 @@ import (
 // silently accepts corrupted data that round-trips differently.
 func FuzzLoadCollection(f *testing.F) {
 	// Seed with a valid checkpoint and a few mutations.
-	c := NewCollection([]int{0, 4}, 6, 3, SumPooling, sim.NewRNG(1))
+	c := NewCollection([]int{0, 4}, 6, 3, sim.NewRNG(1))
 	var buf bytes.Buffer
 	if err := SaveCollection(&buf, c); err != nil {
 		f.Fatal(err)

@@ -14,7 +14,7 @@ import (
 //
 //	magic   uint32  'P','G','E','B'
 //	version uint32  1
-//	mode    uint32  pooling mode
+//	mode    uint32  pooling mode, always 0 (sum)
 //	dim     uint32
 //	tables  uint32
 //	per table: featureID int32, rows uint32, rows*dim float32 weights
@@ -26,7 +26,7 @@ const (
 // SaveCollection writes c to w in the checkpoint format.
 func SaveCollection(w io.Writer, c *Collection) error {
 	bw := bufio.NewWriter(w)
-	head := []uint32{collectionMagic, collectionVersion, uint32(c.Mode), uint32(c.Dim), uint32(len(c.Tables))}
+	head := []uint32{collectionMagic, collectionVersion, 0, uint32(c.Dim), uint32(len(c.Tables))}
 	for _, v := range head {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return fmt.Errorf("embedding: save header: %w", err)
@@ -70,12 +70,10 @@ func LoadCollection(r io.Reader) (*Collection, error) {
 	if tables > 1<<20 {
 		return nil, fmt.Errorf("embedding: implausible table count %d", tables)
 	}
-	c := &Collection{Dim: int(dim), Mode: PoolingMode(mode)}
-	switch c.Mode {
-	case SumPooling, MeanPooling, MaxPooling:
-	default:
-		return nil, fmt.Errorf("embedding: unknown pooling mode %d in checkpoint", mode)
+	if mode != 0 {
+		return nil, fmt.Errorf("embedding: pooling mode %d in checkpoint, only sum (0) is supported", mode)
 	}
+	c := &Collection{Dim: int(dim)}
 	for i := 0; i < int(tables); i++ {
 		var fid int32
 		var rows uint32

@@ -10,7 +10,7 @@ import (
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := sim.NewRNG(31)
-	c := NewCollection([]int{3, 1, 7}, 40, 8, MeanPooling, rng)
+	c := NewCollection([]int{3, 1, 7}, 40, 8, rng)
 	var buf bytes.Buffer
 	if err := SaveCollection(&buf, c); err != nil {
 		t.Fatal(err)
@@ -19,8 +19,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Dim != 8 || got.Mode != MeanPooling || len(got.Tables) != 3 {
-		t.Fatalf("loaded shape wrong: dim=%d mode=%v tables=%d", got.Dim, got.Mode, len(got.Tables))
+	if got.Dim != 8 || len(got.Tables) != 3 {
+		t.Fatalf("loaded shape wrong: dim=%d tables=%d", got.Dim, len(got.Tables))
 	}
 	for i := range c.Tables {
 		if got.FeatureIDs[i] != c.FeatureIDs[i] {
@@ -32,9 +32,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Loaded tables keep working.
 	out := make([]float32, 8)
-	got.Tables[0].LookupPooled([]int64{5, 9}, SumPooling, out)
+	got.Tables[0].LookupPooled([]int64{5, 9}, out)
 	want := make([]float32, 8)
-	c.Tables[0].LookupPooled([]int64{5, 9}, SumPooling, want)
+	c.Tables[0].LookupPooled([]int64{5, 9}, want)
 	for i := range out {
 		if out[i] != want[i] {
 			t.Fatal("loaded table lookup differs")
@@ -56,7 +56,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestLoadRejectsWrongVersion(t *testing.T) {
-	c := NewCollection([]int{0}, 4, 2, SumPooling, sim.NewRNG(1))
+	c := NewCollection([]int{0}, 4, 2, sim.NewRNG(1))
 	var buf bytes.Buffer
 	if err := SaveCollection(&buf, c); err != nil {
 		t.Fatal(err)
@@ -69,20 +69,24 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 }
 
 func TestLoadRejectsBadMode(t *testing.T) {
-	c := NewCollection([]int{0}, 4, 2, SumPooling, sim.NewRNG(1))
+	c := NewCollection([]int{0}, 4, 2, sim.NewRNG(1))
 	var buf bytes.Buffer
 	if err := SaveCollection(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	b[8] = 77 // mode field
-	if _, err := LoadCollection(bytes.NewReader(b)); err == nil {
-		t.Fatal("bad pooling mode accepted")
+	// Only sum pooling (0) exists; the old mean (1) and max (2) words and
+	// garbage are all rejected.
+	for _, mode := range []byte{1, 2, 77} {
+		b := append([]byte(nil), buf.Bytes()...)
+		b[8] = mode // mode field
+		if _, err := LoadCollection(bytes.NewReader(b)); err == nil {
+			t.Errorf("pooling mode %d accepted", mode)
+		}
 	}
 }
 
 func TestLoadTruncatedWeights(t *testing.T) {
-	c := NewCollection([]int{0}, 10, 4, SumPooling, sim.NewRNG(2))
+	c := NewCollection([]int{0}, 10, 4, sim.NewRNG(2))
 	var buf bytes.Buffer
 	if err := SaveCollection(&buf, c); err != nil {
 		t.Fatal(err)

@@ -45,12 +45,6 @@ func (b *Baseline) ValidateConfig(cfg Config) error {
 	return nil
 }
 
-// CommTrace implements CommTracer: the baseline's traffic is entirely the
-// collective's.
-func (b *Baseline) CommTrace(s *System) *trace.VolumeTrace {
-	return s.Comm.Volume()
-}
-
 // RunBatch runs the baseline's three phases over the (shard, consumer) pairs
 // GPU g serves: its own shard for every consumer, plus any mirrored shard
 // the plan's replica routing assigned to it.
@@ -286,7 +280,7 @@ func (s *System) packCollective(g int, bd *BatchData, all bool) [][]float32 {
 					if view != nil && o != c && view.Hit[o][fi*cfg.BatchSize+smp] {
 						continue
 					}
-					coll.Tables[fi].LookupPooled(part.Features[fi].Bag(smp), coll.Mode, pack[at:at+cfg.Dim])
+					coll.Tables[fi].LookupPooled(part.Features[fi].Bag(smp), pack[at:at+cfg.Dim])
 					at += cfg.Dim
 				}
 			}
@@ -400,7 +394,7 @@ func (s *System) unpackCollective(g int, bd *BatchData, recvBuf []float32, all b
 	dv := plan.Dedup
 	dst := bd.Final[g].Data()
 	lo, hi := s.Minibatch(g)
-	myNode := s.nodeOf(g)
+	myNode := s.NodeOf(g)
 	at := 0
 	for src := 0; src < cfg.GPUs; src++ {
 		for o := 0; o < cfg.GPUs; o++ {
@@ -458,7 +452,7 @@ func Reference(s *System, batch *sparse.Batch) ([]*tensor.Tensor, error) {
 			tbl := coll.Tables[fi]
 			for smp := 0; smp < cfg.BatchSize; smp++ {
 				off := (smp*cfg.TotalTables + fid) * cfg.Dim
-				tbl.LookupPooled(fb.Bag(smp), coll.Mode, data[off:off+cfg.Dim])
+				tbl.LookupPooled(fb.Bag(smp), data[off:off+cfg.Dim])
 			}
 		}
 	} else {
@@ -469,7 +463,7 @@ func Reference(s *System, batch *sparse.Batch) ([]*tensor.Tensor, error) {
 				tbl := coll.Tables[fi]
 				for smp := 0; smp < cfg.BatchSize; smp++ {
 					off := (smp*cfg.TotalTables + fid) * cfg.Dim
-					tbl.LookupPooled(fb.Bag(smp), coll.Mode, data[off:off+cfg.Dim])
+					tbl.LookupPooled(fb.Bag(smp), data[off:off+cfg.Dim])
 				}
 			}
 		}

@@ -11,8 +11,8 @@ package retrieval
 // multiNode reports whether the run spans more than one node.
 func (s *System) multiNode() bool { return s.cluster.Nodes > 1 }
 
-// nodeOf returns the node owning GPU g (0 on single-node machines).
-func (s *System) nodeOf(g int) int {
+// NodeOf returns the node owning GPU g (0 on single-node machines).
+func (s *System) NodeOf(g int) int {
 	if s.cluster.Nodes == 0 {
 		return 0
 	}
@@ -45,7 +45,7 @@ func (s *System) nodeWirePair(dv *DedupView, src, dst int) bool {
 	if dv.NodeWire == nil {
 		return false
 	}
-	return dv.NodeWire[src][s.nodeOf(dst)]
+	return dv.NodeWire[src][s.NodeOf(dst)]
 }
 
 // nodeNewKeysIn returns the node-level unique keys of owner src first seen in

@@ -23,7 +23,6 @@ package retrieval
 import (
 	"fmt"
 
-	"pgasemb/internal/embedding"
 	"pgasemb/internal/gpu"
 	"pgasemb/internal/workload"
 )
@@ -125,15 +124,6 @@ type Config struct {
 	// of assigning contiguous blocks — the planner a skewed workload needs
 	// under table-wise sharding.
 	GreedyPlan bool
-	// PerFeatureRows optionally gives each table its own hash size (len
-	// TotalTables; nil = uniform Rows). Table-wise sharding only.
-	PerFeatureRows []int
-	// CustomPlan overrides table placement entirely (table-wise sharding):
-	// CustomPlan[g] lists the global feature IDs on GPU g. Every table must
-	// be assigned exactly once. Takes precedence over GreedyPlan.
-	CustomPlan [][]int
-	// Pooling selects the pooling operation (functional mode).
-	Pooling embedding.PoolingMode
 	// NullProbability, Distribution, ZipfExponent pass through to the
 	// workload generator.
 	NullProbability float64
@@ -158,8 +148,8 @@ type Config struct {
 	// dense-routing only (no Dedup, no CacheFraction).
 	Replicas int
 	// AdaptivePlacement enables the access-statistics-driven placement
-	// layer: the route-plan compiler feeds per-table and per-row-bucket
-	// lookup statistics to a placement controller, and every RebalanceEvery
+	// layer: every batch's per-table lookup counts feed a placement
+	// controller, and every RebalanceEvery
 	// batches the run recomputes table placement from OBSERVED loads (LPT
 	// over the EMA, cost-model-gated with hysteresis), charges the shard
 	// migration as real NVLink/NIC traffic on the simulated clock, and swaps
@@ -230,19 +220,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("retrieval: Batches must be positive")
 	case c.ChunksPerKernel <= 0:
 		return fmt.Errorf("retrieval: ChunksPerKernel must be positive")
-	case c.Sharding == RowWise && c.Pooling != embedding.SumPooling:
-		return fmt.Errorf("retrieval: row-wise sharding requires sum pooling (partials of mean/max are undefined)")
 	case c.Sharding == RowWise && c.Rows < c.GPUs:
 		return fmt.Errorf("retrieval: row-wise sharding needs at least one row per GPU")
-	case c.PerFeatureRows != nil && len(c.PerFeatureRows) != c.TotalTables:
-		return fmt.Errorf("retrieval: PerFeatureRows has %d entries for %d tables",
-			len(c.PerFeatureRows), c.TotalTables)
-	case c.PerFeatureRows != nil && c.Sharding == RowWise:
-		return fmt.Errorf("retrieval: PerFeatureRows is not supported with row-wise sharding")
-	case c.CustomPlan != nil && c.Sharding == RowWise:
-		return fmt.Errorf("retrieval: CustomPlan is not supported with row-wise sharding")
-	case c.CustomPlan != nil && len(c.CustomPlan) != c.GPUs:
-		return fmt.Errorf("retrieval: CustomPlan has %d shards for %d GPUs", len(c.CustomPlan), c.GPUs)
 	case c.CacheFraction < 0 || c.CacheFraction >= 1:
 		return fmt.Errorf("retrieval: CacheFraction %g outside [0, 1)", c.CacheFraction)
 	case c.CacheFraction > 0 && c.Sharding == RowWise:
@@ -294,39 +273,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("retrieval: reduced wire precision requires table-wise sharding " +
 			"(row-wise traffic is partial sums and gradients, which stay fp32)")
 	}
-	if c.PerFeatureRows != nil {
-		for f, r := range c.PerFeatureRows {
-			if r <= 0 {
-				return fmt.Errorf("retrieval: table %d has non-positive rows %d", f, r)
-			}
-		}
-	}
-	if c.CustomPlan != nil {
-		seen := make(map[int]bool, c.TotalTables)
-		for g, ids := range c.CustomPlan {
-			for _, id := range ids {
-				if id < 0 || id >= c.TotalTables {
-					return fmt.Errorf("retrieval: CustomPlan GPU %d references table %d (have %d)", g, id, c.TotalTables)
-				}
-				if seen[id] {
-					return fmt.Errorf("retrieval: CustomPlan assigns table %d twice", id)
-				}
-				seen[id] = true
-			}
-		}
-		if len(seen) != c.TotalTables {
-			return fmt.Errorf("retrieval: CustomPlan covers %d of %d tables", len(seen), c.TotalTables)
-		}
-	}
 	return nil
-}
-
-// tableRows returns the hash size of table fid.
-func (c Config) tableRows(fid int) int {
-	if c.PerFeatureRows != nil {
-		return c.PerFeatureRows[fid]
-	}
-	return c.Rows
 }
 
 // VectorBytes returns the uncompressed (fp32) payload of one embedding
@@ -350,15 +297,9 @@ func (c Config) WireVectorBytes() int {
 // fp32 default skips every encode/decode code path entirely.
 func (c Config) WireCodecActive() bool { return c.WirePrecision != FP32 }
 
-// tableBytesAll returns every table's device-memory footprint, indexed by
-// global feature id — the placement layer's migration and capacity unit.
-func (c Config) tableBytesAll() []int64 {
-	out := make([]int64, c.TotalTables)
-	for fid := range out {
-		out[fid] = int64(c.tableRows(fid)) * int64(c.Dim) * 4
-	}
-	return out
-}
+// tableBytes returns one table's device-memory footprint — the placement
+// layer's migration and capacity unit.
+func (c Config) tableBytes() int64 { return int64(c.Rows) * int64(c.Dim) * 4 }
 
 // cacheSlotBytes is the per-cached-row device memory footprint: the row
 // values plus index/metadata overhead (key, slot bookkeeping).
@@ -373,11 +314,7 @@ func (c Config) CacheSlots(g gpu.Params) int {
 		return 0
 	}
 	slots := int(c.CacheFraction * float64(g.MemoryCapacity) / float64(c.cacheSlotBytes()))
-	var population int64
-	for fid := 0; fid < c.TotalTables; fid++ {
-		population += int64(c.tableRows(fid))
-	}
-	if int64(slots) > population {
+	if population := int64(c.TotalTables) * int64(c.Rows); int64(slots) > population {
 		slots = int(population)
 	}
 	if slots < 1 {

@@ -1,7 +1,6 @@
 package retrieval
 
 import (
-	"pgasemb/internal/embedding"
 	"pgasemb/internal/workload"
 )
 
@@ -113,8 +112,8 @@ func (v *DedupView) newKeysIn(s *System, src, dst, s0, s1 int) int {
 // functionalExpand re-pools consumer g's miss vectors of a wire pairing with
 // owner src from the received unique rows, bit-exactly reproducing what the
 // dense path (owner-side LookupPooled + ship) would have written: same
-// accumulation order (bag order, via the inverse-expansion positions), same
-// mean scaling, same max copy-then-compare. expand is the inverse-expansion
+// accumulation order (bag order, via the inverse-expansion positions).
+// expand is the inverse-expansion
 // map addressing rows — dv.Expand[src][g] for pair-level wire dedup,
 // dv.NodeExpand[src][g] for node-level (where rows is the node staging
 // buffer). Cache-hit vectors were pooled at classification time and are
@@ -131,52 +130,23 @@ func (s *System) functionalExpand(g, src int, rows []float32, expand []int32, su
 			}
 			bagLen := int(sum.Pooling[fid*B+smp])
 			out := dst[((smp-lo)*cfg.TotalTables+fid)*cfg.Dim:][:cfg.Dim]
-			poolFromRows(rows, expand[e:e+bagLen], cfg.Dim, cfg.Pooling, out)
+			poolFromRows(rows, expand[e:e+bagLen], cfg.Dim, out)
 			e += bagLen
 		}
 	}
 }
 
-// poolFromRows pools one bag from staged unique rows: positions index into
-// rows (dim floats each), in bag order. Mirrors embedding.Table.LookupPooled
-// exactly (see poolFromCache).
-func poolFromRows(rows []float32, pos []int32, dim int, mode embedding.PoolingMode, out []float32) {
+// poolFromRows sum-pools one bag from staged unique rows: positions index
+// into rows (dim floats each), in bag order. Mirrors
+// embedding.Table.LookupPooled exactly (see poolFromCache).
+func poolFromRows(rows []float32, pos []int32, dim int, out []float32) {
 	for i := range out {
 		out[i] = 0
 	}
-	if len(pos) == 0 {
-		return
-	}
-	switch mode {
-	case embedding.SumPooling, embedding.MeanPooling:
-		for _, p := range pos {
-			vec := rows[int(p)*dim:][:dim]
-			for i, v := range vec {
-				out[i] += v
-			}
+	for _, p := range pos {
+		vec := rows[int(p)*dim:][:dim]
+		for i, v := range vec {
+			out[i] += v
 		}
-		if mode == embedding.MeanPooling {
-			inv := 1 / float32(len(pos))
-			for i := range out {
-				out[i] *= inv
-			}
-		}
-	case embedding.MaxPooling:
-		first := true
-		for _, p := range pos {
-			vec := rows[int(p)*dim:][:dim]
-			if first {
-				copy(out, vec)
-				first = false
-				continue
-			}
-			for i, v := range vec {
-				if v > out[i] {
-					out[i] = v
-				}
-			}
-		}
-	default:
-		panic("retrieval: unknown pooling mode")
 	}
 }

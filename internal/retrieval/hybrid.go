@@ -65,7 +65,7 @@ func prefersCollective(plan *RoutePlan, src, dst int) bool {
 	if plan.Serve != nil || plan.Class(src, dst) == RouteNodeWire {
 		return false
 	}
-	if s.multiNode() && s.nodeOf(src) != s.nodeOf(dst) {
+	if s.multiNode() && s.NodeOf(src) != s.NodeOf(dst) {
 		return false
 	}
 	vecs := plan.CollectiveVecs(src, dst)

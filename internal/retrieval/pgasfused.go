@@ -169,7 +169,7 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 				// Node-level wire dedup: the chunk's new node keys are
 				// addressed at the destination node's stage-lane GPU.
 				// (Dedup and replication are exclusive: g owns the pair.)
-				target = s.stageGPU(g, s.nodeOf(c))
+				target = s.stageGPU(g, s.NodeOf(c))
 			}
 			if agg != nil {
 				agg.StoreBytes(s.PGAS.PE(target), vecs*wireVecBytes)
@@ -215,7 +215,7 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 		if dv == nil {
 			remoteBytes = float64(mini*(cfg.TotalTables-fg)-batchHitVecs) * fvb
 		} else {
-			myNode := s.nodeOf(g)
+			myNode := s.NodeOf(g)
 			for src := 0; src < cfg.GPUs; src++ {
 				if src == g {
 					continue
@@ -311,7 +311,7 @@ func (b *PGASFused) finishMixed(s *System, p *sim.Proc, g int, bd *BatchData, bk
 func (s *System) expansionLoad(p *sim.Proc, g int, bd *BatchData) (refs int64, outVecs int) {
 	plan := bd.Plan
 	dv := plan.Dedup
-	myNode := s.nodeOf(g)
+	myNode := s.NodeOf(g)
 	var redist sim.Time
 	for src := 0; src < s.Cfg.GPUs; src++ {
 		if src == g {
@@ -389,7 +389,7 @@ func (s *System) fusedChunkCost(g int, bd *BatchData, s0, s1, kernelItems, peers
 			coll := plan.ViaCollective(o, c)
 			switch plan.Class(o, c) {
 			case RouteNodeWire:
-				nk := plan.NodeNewKeysIn(o, s.nodeOf(c), c0, c1)
+				nk := plan.NodeNewKeysIn(o, s.NodeOf(c), c0, c1)
 				readBytes += float64(nk) * fvb
 				items += nk
 				issues += nk
@@ -470,7 +470,7 @@ func (s *System) fusedChunkStores(g int, bd *BatchData, s0, s1 int, scratch []fl
 				// Node-level wire dedup: stream the node keys this sample
 				// introduces into the destination node's staging buffer, via
 				// its stage-lane PE (one NIC crossing per node-unique row).
-				node := s.nodeOf(c)
+				node := s.NodeOf(c)
 				nlo, _ := s.nodeSampleRange(node)
 				cur := nodeCursors[node]
 				n := int(dv.NodeNewAt[o][node][smp-nlo])
@@ -492,7 +492,7 @@ func (s *System) fusedChunkStores(g int, bd *BatchData, s0, s1 int, scratch []fl
 						continue
 					}
 					fb := &part.Features[fi]
-					coll.Tables[fi].LookupPooled(fb.Bag(smp), coll.Mode, scratch)
+					coll.Tables[fi].LookupPooled(fb.Bag(smp), scratch)
 					off := ((smp-clo)*cfg.TotalTables + fb.FeatureID) * cfg.Dim
 					store(pe, agg, s.PGAS.PE(c), dstData[off:off+cfg.Dim], scratch)
 				}

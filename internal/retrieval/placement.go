@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"pgasemb/internal/embedding"
 	"pgasemb/internal/placement"
 	"pgasemb/internal/sim"
 )
@@ -67,9 +66,9 @@ func (s *System) OwnerLoad() (keys []int64, bytes []float64) {
 }
 
 // observeBatch folds one compiled batch into the run's load accounting and
-// (when adaptive placement is on) the controller's statistics. Called from
-// NextBatchData after compileRoutePlan, while bd.Sparse is still materialised
-// on placement-enabled runs. Allocates nothing.
+// (when adaptive placement is on) the controller's statistics: each table's
+// lookup count is its pooled-index total in bd.Summary. Called from
+// NextBatchData after compileRoutePlan. Allocates nothing.
 func (s *System) observeBatch(bd *BatchData) {
 	if s.ownerKeys != nil {
 		s.accumOwnerLoad(bd)
@@ -79,20 +78,8 @@ func (s *System) observeBatch(bd *BatchData) {
 	}
 	st := s.placeCtl.Stats()
 	st.BeginBatch()
-	nb := st.NumBuckets()
 	for fid := 0; fid < s.Cfg.TotalTables; fid++ {
-		fb := bd.Sparse.FeatureByID(fid)
-		rows := s.Cfg.tableRows(fid)
-		var count int64
-		for smp := 0; smp < s.Cfg.BatchSize; smp++ {
-			bag := fb.Bag(smp)
-			count += int64(len(bag))
-			for _, raw := range bag {
-				row := embedding.HashIndex(raw, rows)
-				st.AddBucket(fid, int(uint64(row)*uint64(nb)/uint64(rows)), 1)
-			}
-		}
-		st.AddTable(fid, float64(count))
+		st.AddTable(fid, float64(bd.Summary.FeatureIndices(fid)))
 	}
 	st.EndBatch()
 }
@@ -167,7 +154,7 @@ func (s *System) classifyHotMirror(bd *BatchData) *CacheView {
 					if cfg.Functional {
 						off := ((smp-lo)*cfg.TotalTables + fid) * cfg.Dim
 						out := bd.Final[g].Data()[off : off+cfg.Dim]
-						s.colls[p].Tables[fi].LookupPooled(bag, cfg.Pooling, out)
+						s.colls[p].Tables[fi].LookupPooled(bag, out)
 					}
 				}
 			}
@@ -247,8 +234,8 @@ func (s *System) chargeMigration(ctx context.Context, reb *placement.Rebalance) 
 			return
 		}
 		var at sim.Time
-		if s.multiNode() && s.nodeOf(src) != s.nodeOf(dst) {
-			at = s.Net.Send(src, s.nodeOf(dst), int(bytes))
+		if s.multiNode() && s.NodeOf(src) != s.NodeOf(dst) {
+			at = s.Net.Send(src, s.NodeOf(dst), int(bytes))
 		} else {
 			at = s.Fab.Pipe(src, dst).Offer(float64(bytes))
 		}

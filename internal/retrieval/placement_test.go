@@ -206,6 +206,46 @@ func TestAdaptivePlacementBeatsStatic(t *testing.T) {
 	}
 }
 
+// TestPlacementStatsTrackPooledIndices pins what the controller observes:
+// after one batch, each table's load is that batch's pooled-index total for
+// the table, counted here straight off the materialised bags — in both the
+// functional run and a timing run of the same seed.
+func TestPlacementStatsTrackPooledIndices(t *testing.T) {
+	cfg := placementSkewConfig()
+	cfg.AdaptivePlacement = true
+	cfg.RebalanceEvery = 3
+	cfg.Functional = true
+	s, err := NewSystem(cfg, DefaultHardware())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd, err := s.NextBatchData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, cfg.TotalTables)
+	for fid := range want {
+		fb := bd.Sparse.FeatureByID(fid)
+		for smp := 0; smp < cfg.BatchSize; smp++ {
+			want[fid] += float64(len(fb.Bag(smp)))
+		}
+	}
+	if got := s.Placement().Stats().Loads(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("functional loads = %v, want pooled-index totals %v", got, want)
+	}
+	cfg.Functional = false
+	ts, err := NewSystem(cfg, DefaultHardware())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.NextBatchData(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ts.Placement().Stats().Loads(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("timing loads = %v, want pooled-index totals %v", got, want)
+	}
+}
+
 // TestOwnerLoadAccounting pins the served-load bookkeeping on a tiny run
 // with placement off: every pooled lookup is charged to exactly one GPU, so
 // the owner-key total equals the workload's pooled-lookup total.

@@ -286,7 +286,7 @@ func (p *RoutePlan) OneSidedCodecVecs(g int) (sent, recv int64) {
 		switch {
 		case p.ServeGPU(o, g) == g:
 		case p.Class(o, g) == RouteNodeWire:
-			recv += p.Dedup.NodeUniq[o][s.nodeOf(g)]
+			recv += p.Dedup.NodeUniq[o][s.NodeOf(g)]
 		default:
 			recv += int64(p.CollectiveVecs(o, g))
 		}
@@ -343,7 +343,6 @@ func (p *RoutePlan) ConsumerChunkHits(sum *workload.Summary, g, s0, s1 int) (vec
 type planScratch struct {
 	seen       map[uint64]int32     // pair/node unique-key index
 	fbs        []*sparse.FeatureBag // one owner's feature bags
-	rowsPer    []int                // one owner's table row counts
 	expTmp     [][]int32            // node classifier's per-consumer expansion holder
 	rowScratch []int32              // cache classifier's hashed-bag scratch
 }
@@ -425,9 +424,9 @@ func (s *System) computeServe(batch int) [][]int {
 // pairs ride the NICs, throttled by the unhealthier of the egress and
 // ingress rails.
 func (s *System) replicaPathBW(sched *fault.Schedule, batch, r, c int) float64 {
-	if s.multiNode() && s.nodeOf(r) != s.nodeOf(c) {
-		egress := sched.NICFactor(batch, s.nodeOf(r), s.Net.Rail(r))
-		ingress := sched.NICFactor(batch, s.nodeOf(c), s.Net.Rail(c))
+	if s.multiNode() && s.NodeOf(r) != s.NodeOf(c) {
+		egress := sched.NICFactor(batch, s.NodeOf(r), s.Net.Rail(r))
+		ingress := sched.NICFactor(batch, s.NodeOf(c), s.Net.Rail(c))
 		health := egress
 		if ingress < health {
 			health = ingress
@@ -466,7 +465,6 @@ func (s *System) classifyCache(bd *BatchData) *CacheView {
 				continue
 			}
 			for fi, fid := range s.Plan[p] {
-				rows := cfg.tableRows(fid)
 				fb := bd.Sparse.FeatureByID(fid)
 				var w []float32
 				if cfg.Functional {
@@ -480,7 +478,7 @@ func (s *System) classifyCache(bd *BatchData) *CacheView {
 					rowScratch = rowScratch[:0]
 					hit := true
 					for _, raw := range bag {
-						row := int32(embedding.HashIndex(raw, rows))
+						row := int32(embedding.HashIndex(raw, cfg.Rows))
 						rowScratch = append(rowScratch, row)
 						if !c.Touch(cache.Key{Feature: int32(fid), Row: row}) {
 							hit = false
@@ -505,7 +503,7 @@ func (s *System) classifyCache(bd *BatchData) *CacheView {
 					if cfg.Functional {
 						off := ((smp-lo)*cfg.TotalTables + fid) * cfg.Dim
 						out := bd.Final[g].Data()[off : off+cfg.Dim]
-						poolFromCache(c, int32(fid), rowScratch, cfg.Pooling, out)
+						poolFromCache(c, int32(fid), rowScratch, out)
 					}
 				}
 			}
@@ -543,7 +541,7 @@ func (s *System) classifyDedup(bd *BatchData) *DedupView {
 		dv.NewAt[src] = make([][]int32, G)
 		dv.Keys[src] = make([][]uint64, G)
 		dv.Expand[src] = make([][]int32, G)
-		fbs, rowsPer := s.ownerScratch(bd, src)
+		fbs := s.ownerScratch(bd, src)
 		for dst := 0; dst < G; dst++ {
 			dlo, dhi := s.Minibatch(dst)
 			clear(seen)
@@ -558,9 +556,8 @@ func (s *System) classifyDedup(bd *BatchData) *DedupView {
 						continue
 					}
 					denseVecs++
-					rows := rowsPer[fi]
 					for _, raw := range fbs[fi].Bag(smp) {
-						key := uint64(fi)<<32 | uint64(uint32(embedding.HashIndex(raw, rows)))
+						key := uint64(fi)<<32 | uint64(uint32(embedding.HashIndex(raw, cfg.Rows)))
 						pos, ok := seen[key]
 						if !ok {
 							pos = int32(len(seen))
@@ -639,8 +636,8 @@ func (s *System) classifyNodeDedup(bd *BatchData, dv *DedupView) {
 		dv.NodeNewAt[src] = make([][]int32, N)
 		dv.NodeKeys[src] = make([][]uint64, N)
 		dv.NodeExpand[src] = make([][]int32, G)
-		fbs, rowsPer := s.ownerScratch(bd, src)
-		srcNode := s.nodeOf(src)
+		fbs := s.ownerScratch(bd, src)
+		srcNode := s.NodeOf(src)
 		for node := 0; node < N; node++ {
 			if node == srcNode {
 				continue
@@ -661,9 +658,8 @@ func (s *System) classifyNodeDedup(bd *BatchData, dv *DedupView) {
 							continue
 						}
 						dense++
-						rows := rowsPer[fi]
 						for _, raw := range fbs[fi].Bag(smp) {
-							key := uint64(fi)<<32 | uint64(uint32(embedding.HashIndex(raw, rows)))
+							key := uint64(fi)<<32 | uint64(uint32(embedding.HashIndex(raw, cfg.Rows)))
 							pos, ok := seen[key]
 							if !ok {
 								pos = int32(len(seen))
@@ -708,16 +704,13 @@ func (s *System) seenScratch() map[uint64]int32 {
 }
 
 // ownerScratch fills the run's per-owner classifier scratch: src's feature
-// bags and table row counts, in plan order.
-func (s *System) ownerScratch(bd *BatchData, src int) ([]*sparse.FeatureBag, []int) {
-	fg := len(s.Plan[src])
-	fbs := scratchSlice(&s.planScr.fbs, fg)
-	rowsPer := scratchSlice(&s.planScr.rowsPer, fg)
+// bags, in plan order.
+func (s *System) ownerScratch(bd *BatchData, src int) []*sparse.FeatureBag {
+	fbs := scratchSlice(&s.planScr.fbs, len(s.Plan[src]))
 	for fi, fid := range s.Plan[src] {
 		fbs[fi] = bd.Sparse.FeatureByID(fid)
-		rowsPer[fi] = s.Cfg.tableRows(fid)
 	}
-	return fbs, rowsPer
+	return fbs
 }
 
 // attachDedup allocates the batch's cross-GPU expansion plumbing: the

@@ -114,7 +114,7 @@ func (b *RowWiseBaseline) functionalPartials(s *System, g int, bd *BatchData) []
 		fb := bd.Sparse.FeatureByID(fid)
 		tbl := coll.Tables[fi]
 		for smp := 0; smp < cfg.BatchSize; smp++ {
-			if tbl.LookupPooledPartial(fb.Bag(smp), coll.Mode, scratch, rlo, rhi) == 0 {
+			if tbl.LookupPooledPartial(fb.Bag(smp), scratch, rlo, rhi) == 0 {
 				continue
 			}
 			off := (smp*cfg.TotalTables + fid) * cfg.Dim
@@ -202,7 +202,7 @@ func (b *RowWisePGAS) functionalChunk(s *System, g int, bd *BatchData, s0, s1 in
 		dstData := bd.Final[owner].Data()
 		for fi, fid := range coll.FeatureIDs {
 			fb := bd.Sparse.FeatureByID(fid)
-			if coll.Tables[fi].LookupPooledPartial(fb.Bag(smp), coll.Mode, scratch, rlo, rhi) == 0 {
+			if coll.Tables[fi].LookupPooledPartial(fb.Bag(smp), scratch, rlo, rhi) == 0 {
 				continue
 			}
 			off := ((smp-olo)*cfg.TotalTables + fid) * cfg.Dim

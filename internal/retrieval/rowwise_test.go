@@ -18,11 +18,6 @@ func TestRowWiseConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := cfg
-	bad.Pooling = 2 // MaxPooling mode
-	if bad.Validate() == nil {
-		t.Fatal("row-wise with max pooling accepted")
-	}
-	bad = cfg
 	bad.Rows = 1
 	bad.GPUs = 2
 	if bad.Validate() == nil {

@@ -2,7 +2,6 @@ package retrieval
 
 import (
 	"fmt"
-	"sort"
 
 	"pgasemb/internal/collective"
 	"pgasemb/internal/embedding"
@@ -90,8 +89,6 @@ func NewSystemSpec(cfg Config, hw HardwareParams) (*SystemSpec, error) {
 	}
 	spec := &SystemSpec{cfg: cfg, hw: hw} // hw is the normalized copy
 	switch {
-	case cfg.CustomPlan != nil:
-		spec.plan = cfg.CustomPlan
 	case cfg.GreedyPlan:
 		spec.plan = embedding.GreedyPlan(cfg.workloadConfig().ExpectedPoolingLoad(), cfg.GPUs)
 	default:
@@ -128,10 +125,7 @@ type namedAlloc struct {
 
 func (spec *SystemSpec) allocPlan(g int) []namedAlloc {
 	cfg := spec.cfg
-	var shardBytes int64
-	for _, fid := range spec.plan[g] {
-		shardBytes += int64(cfg.tableRows(fid)) * int64(cfg.Dim) * 4
-	}
+	shardBytes := int64(len(spec.plan[g])) * cfg.tableBytes()
 	if cfg.Sharding == RowWise {
 		rlo, rhi := embedding.RowShardRange(cfg.Rows, cfg.GPUs, g)
 		shardBytes = int64(rhi-rlo) * int64(cfg.Dim) * 4 * int64(cfg.TotalTables)
@@ -156,16 +150,9 @@ func (spec *SystemSpec) allocPlan(g int) []namedAlloc {
 		})
 	}
 	if cfg.HotTables > 0 {
-		// Selective replication reserve: room for mirrors of the K largest
-		// tables — the hot set is chosen from observed load at run time, so
-		// the reserve is sized for the worst footprint it could pick.
-		bytes := append([]int64(nil), cfg.tableBytesAll()...)
-		sort.Slice(bytes, func(a, b int) bool { return bytes[a] > bytes[b] })
-		var mirrorBytes int64
-		for _, b := range bytes[:cfg.HotTables] {
-			mirrorBytes += b
-		}
-		allocs = append(allocs, namedAlloc{"hot-mirror", mirrorBytes})
+		// Selective replication reserve: room for mirrors of K tables — the
+		// hot set is chosen from observed load at run time.
+		allocs = append(allocs, namedAlloc{"hot-mirror", int64(cfg.HotTables) * cfg.tableBytes()})
 	}
 	if cfg.Replicas > 1 {
 		// Mirrors of the other shards replicated onto this GPU: shard o is
@@ -174,9 +161,7 @@ func (spec *SystemSpec) allocPlan(g int) []namedAlloc {
 		var mirrorBytes int64
 		for k := 1; k < cfg.Replicas; k++ {
 			o := ((g-k)%cfg.GPUs + cfg.GPUs) % cfg.GPUs
-			for _, fid := range spec.plan[o] {
-				mirrorBytes += int64(cfg.tableRows(fid)) * int64(cfg.Dim) * 4
-			}
+			mirrorBytes += int64(len(spec.plan[o])) * cfg.tableBytes()
 		}
 		allocs = append(allocs, namedAlloc{"mirror-shards", mirrorBytes})
 	}
@@ -283,14 +268,10 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 			for i := range allFeatures {
 				allFeatures[i] = i
 			}
-			s.globalColl = embedding.NewCollection(allFeatures, cfg.Rows, cfg.Dim, cfg.Pooling, wrng)
+			s.globalColl = embedding.NewCollection(allFeatures, cfg.Rows, cfg.Dim, wrng)
 		} else {
 			for g := 0; g < cfg.GPUs; g++ {
-				rowsPer := make([]int, len(spec.plan[g]))
-				for i, fid := range spec.plan[g] {
-					rowsPer[i] = cfg.tableRows(fid)
-				}
-				s.colls = append(s.colls, embedding.NewCollectionWithRows(spec.plan[g], rowsPer, cfg.Dim, cfg.Pooling, wrng))
+				s.colls = append(s.colls, embedding.NewCollection(spec.plan[g], cfg.Rows, cfg.Dim, wrng))
 			}
 		}
 		if cfg.WireCodecActive() {
@@ -370,10 +351,14 @@ func (spec *SystemSpec) placementCapacity() int64 {
 // System.AttachPlacement, so statistics survive dispatch boundaries.
 func (spec *SystemSpec) NewPlacementController() (*placement.Controller, error) {
 	cfg := spec.cfg
+	tableBytes := make([]int64, cfg.TotalTables)
+	for t := range tableBytes {
+		tableBytes[t] = cfg.tableBytes()
+	}
 	pcfg := placement.Config{
 		Tables:         cfg.TotalTables,
 		GPUs:           cfg.GPUs,
-		TableBytes:     cfg.tableBytesAll(),
+		TableBytes:     tableBytes,
 		CapacityBytes:  spec.placementCapacity(),
 		RebalanceEvery: cfg.RebalanceEvery,
 		HotTables:      cfg.HotTables,

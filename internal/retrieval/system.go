@@ -466,11 +466,10 @@ func (s *System) NextBatchData() (*BatchData, error) {
 	bd := &BatchData{Slot: s.batchSeq % s.PipelineDepth()}
 	if !s.Cfg.Functional {
 		if s.cacheEnabled() || s.dedupEnabled() || s.placementEnabled() {
-			// The route-plan compiler (and the placement statistics feed)
-			// needs real indices; materialise the batch, compile, then drop
-			// it — timing runs keep no data plane. The pooling stream (and
-			// so all timing inputs) is identical to what NextSummary would
-			// have produced.
+			// The route-plan compiler needs real indices; materialise the
+			// batch, compile, then drop it — timing runs keep no data plane.
+			// The pooling stream (and so all timing inputs) is identical to
+			// what NextSummary would have produced.
 			bd.Sparse = s.gen.NextBatch()
 			bd.Summary = summaryFromBatch(bd.Sparse)
 			s.compileRoutePlan(bd)
@@ -663,7 +662,7 @@ func (s *System) RunContext(ctx context.Context, b Backend) (*Result, error) {
 	}
 	res.TotalTime = elapsed
 	res.Breakdown = trace.MergeMax(res.PerGPU...)
-	res.CommTrace = s.commTrace(b)
+	res.CommTrace = s.commTrace()
 	res.DedupStats = s.dedupStats
 	if s.ownerKeys != nil {
 		res.OwnerKeys = append([]int64(nil), s.ownerKeys...)
@@ -689,23 +688,10 @@ func (s *System) RunContext(ctx context.Context, b Backend) (*Result, error) {
 	return res, nil
 }
 
-// CommTracer is implemented by backends whose communication rides a single,
-// known plane (e.g. the baseline's collective); the Result's volume trace
-// comes from the backend itself instead of a type switch. Backends that do
-// not implement it get the merged one-sided + collective trace, which is
-// correct for any mix of the two transports.
-type CommTracer interface {
-	// CommTrace returns the backend's communication-volume-over-time trace
-	// for the run that just completed on s.
-	CommTrace(s *System) *trace.VolumeTrace
-}
-
-// commTrace picks the volume trace that corresponds to the backend's
-// communication path.
-func (s *System) commTrace(b Backend) *trace.VolumeTrace {
-	if ct, ok := b.(CommTracer); ok {
-		return ct.CommTrace(s)
-	}
+// commTrace is the machine-wide volume trace: the one-sided intervals
+// followed by the collective's. A backend that uses one transport only
+// leaves the other list empty.
+func (s *System) commTrace() *trace.VolumeTrace {
 	merged := &trace.VolumeTrace{}
 	for _, iv := range s.PGAS.TotalTrace().Intervals() {
 		merged.Add(iv.Start, iv.End, iv.Bytes)
